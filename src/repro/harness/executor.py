@@ -391,10 +391,15 @@ def run_jobs(
     else:
         broken: List[int] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_timed_run, specs[i], timeout_s): i
-                for i in pending
-            }
+            futures = {}
+            for n, i in enumerate(pending):
+                try:
+                    futures[pool.submit(_timed_run, specs[i], timeout_s)] = i
+                except BrokenProcessPool:
+                    # A worker died before every job was submitted: the
+                    # unsubmitted jobs join the isolated retry below.
+                    broken.extend(pending[n:])
+                    break
             remaining = set(futures)
             while remaining:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)

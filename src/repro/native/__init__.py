@@ -7,9 +7,15 @@ without a C compiler keep the default numpy backend.
 """
 
 from repro.native.accel import NativeAccel, NativeUnsupported
-from repro.native.build import NativeBuildError, load_library, native_available
+from repro.native.build import (
+    NativeAbiError,
+    NativeBuildError,
+    load_library,
+    native_available,
+)
 
 __all__ = [
+    "NativeAbiError",
     "NativeAccel",
     "NativeBuildError",
     "NativeUnsupported",

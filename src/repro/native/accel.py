@@ -1,12 +1,15 @@
 """ctypes bridge between the simulator and the compiled kernels.
 
 :class:`NativeAccel` gathers the simulator's numpy buffers into a
-pointer table (one slot per array, in the exact order of the C enum in
-``kernels.c``) and drives the four hot phases through the compiled
-entry points.  The kernels mutate the *same* arrays Python owns, so
-every live view (queues, buffers, per-node stats arrays, core state)
-stays coherent without copies; only Python-scalar statistics need a
-per-cycle mirror flush.
+pointer table and drives the four hot phases through the compiled entry
+points.  The kernels mutate the *same* arrays Python owns, so every live
+view (queues, buffers, per-node stats arrays, core state) stays coherent
+without copies; only Python-scalar statistics need a mirror flush.
+
+The pointer table, ``cfg`` and ``ctr`` are filled by slot *name*; each
+entry lands at the index the ``kernels.c`` ABI table gives it, and a
+table whose names differ from the C enum's raises
+:class:`~repro.native.build.NativeAbiError`.
 
 Configurations the kernels do not model raise
 :class:`NativeUnsupported` at construction time — the backend is opt-in
@@ -20,83 +23,51 @@ import ctypes
 import numpy as np
 
 from repro.network.base import EjectedFlits
+from repro.network.engine import _KEY_MAX
 from repro.network.flit import SEQ_RING
-from repro.native.build import NativeBuildError, load_library
+from repro.native.build import NativeAbiError, NativeBuildError, load_library
 
 __all__ = ["NativeAccel", "NativeUnsupported"]
 
-#: The C translation unit this module mirrors, relative to this file.
-#: Declaring it makes the module a *kernel mirror* for the NATIVE rules
-#: in ``repro.analysis``: the enum/#define mirrors below are checked
-#: against the C source on every analyzer run, not just at runtime.
-KERNEL_SOURCE = "kernels.c"
-
-_KEY_MAX = np.iinfo(np.int64).max  # repro: c-mirror[KEY_MAX]
-
-#: C-side port-count cap.
-_MAX_PORTS = 64  # repro: c-mirror[MAX_PORTS]
-
+#: Arbitration policy -> ``cfg[CFG_ARB]`` code (the C ``ARB_*`` values,
+#: checked at load).
 _ARB_CODES = {"oldest_first": 0, "youngest_first": 1, "random": 2}
 
-# cfg slots — mirror of the CFG_* enum in kernels.c, checked by NATIVE001.
-(
-    CFG_N, CFG_P, CFG_DEPTH, CFG_EJECT_W, CFG_QCAP, CFG_SW, CFG_ARB,
-    CFG_ISSUE_W, CFG_WINDOW, CFG_MSHR, CFG_REPLY_FLITS, CFG_L2_LAT,
-    CFG_EJ_CAP, CFG_PEND_CAP, CFG_BUF_CAP, CFG_SLOT_COUNT, CFG_REQ_FLITS,
-    CFG_NUM,
-) = range(18)
-
-# ctr slots — mirror of the CTR_* enum in kernels.c, checked by NATIVE001.
-(
-    CTR_CURSOR, CTR_SPOS, CTR_SSEEN, CTR_CYCLES, CTR_INJ, CTR_EJ_FLITS,
-    CTR_HOPS, CTR_DEFL, CTR_BWRITES, CTR_BREADS, CTR_OCC, CTR_LAT_SUM,
-    CTR_LAT_CNT, CTR_LAT_MAX, CTR_HOPS_SUM, CTR_INJLAT_SUM,
-    CTR_INJLAT_CNT, CTR_HEAD_DIRTY, CTR_MISS_CNT, CTR_MEM_CURSOR,
-    CTR_PEND_CNT, CTR_REQ_SERVICED, CTR_REP_ISSUED, CTR_EJ_COUNT,
-    CTR_ERROR, CTR_ACCEPTED, CTR_NUM,
-) = range(27)
-
-#: Pointer-table slot names, in slot order — mirror of the PT_* enum in
-#: kernels.c (terminator excluded), checked by NATIVE002 together with
-#: the length of the ``arrays`` literal that realizes it below.
-PT_SLOT_NAMES = (
-    "PT_RING_META", "PT_RING_BIRTH", "PT_LAT_OUT", "PT_TARGET_FLAT",
-    "PT_LINK_UP", "PT_NEIGHBOR", "PT_REVERSE", "PT_P0TAB", "PT_P1TAB",
-    "PT_CONGESTED",
-    "PT_REQ_DEST", "PT_REQ_KIND", "PT_REQ_FLITS", "PT_REQ_STAMP",
-    "PT_REQ_SEQ", "PT_REQ_HEAD", "PT_REQ_COUNT",
-    "PT_RESP_DEST", "PT_RESP_KIND", "PT_RESP_FLITS", "PT_RESP_STAMP",
-    "PT_RESP_SEQ", "PT_RESP_HEAD", "PT_RESP_COUNT",
-    "PT_THR_COUNTER", "PT_THR_RATE", "PT_STARV_RING", "PT_STARV_SUM",
-    "PT_INJ_PER_NODE", "PT_STARVED_CYC", "PT_PORT_STARVED_CYC",
-    "PT_LAT_HIST",
-    "PT_G_META", "PT_G_BIRTH", "PT_G_KEY", "PT_G_AVAIL", "PT_G_OUTM",
-    "PT_G_OUTB",
-    "PT_H_KEY", "PT_H_OUT", "PT_W_NODE", "PT_W_IN", "PT_W_DOWN",
-    "PT_W_DPORT",
-    "PT_BUF_META", "PT_BUF_BIRTH", "PT_BUF_HEAD", "PT_BUF_COUNT",
-    "PT_RESERVED",
-    "PT_EJ_NODE", "PT_EJ_SRC", "PT_EJ_KIND", "PT_EJ_SEQ", "PT_EJ_CBIT",
-    "PT_CO_ACTIVE", "PT_CO_RETIRED", "PT_CO_ISSUE_POS", "PT_CO_RECV",
-    "PT_CO_COMPLETE", "PT_CO_ISSUED", "PT_CO_COMPLETED", "PT_CO_HEAD",
-    "PT_CO_GAP",
-    "PT_CO_EPOCH_INSNS", "PT_CO_STALL", "PT_CO_WSTALL", "PT_MISS_OUT",
-    "PT_VISITED",
-    "PT_MEM_SRV", "PT_MEM_REQ", "PT_MEM_SEQ", "PT_MEM_CNT",
-    "PT_PEND_S", "PT_PEND_R", "PT_PEND_Q", "PT_SCR_S", "PT_SCR_R",
-    "PT_SCR_Q",
-    "PT_CO_MISSES", "PT_CO_EPOCH_FLITS", "PT_ISSUE_DEST",
-)
-
+#: Messages for the ``ctr[CTR_ERROR]`` codes, by ``ERR_*`` name.
 _ERRORS = {
-    1: "pointer-table slot count mismatch — the Python table drifted "
-       "from the PT_* enum; run "
-       "`python -m repro.analysis src --select NATIVE002` and rebuild",
-    2: "memory service ring overflow",
-    3: "pending-reply scratch overflow",
-    4: "ejection scratch overflow",
-    5: f"too many router ports for the native backend (max {_MAX_PORTS})",
+    "ERR_SLOT_MISMATCH": "pointer-table slot count differs from the "
+                         "PT_* enum in kernels.c",
+    "ERR_MEM_RING_OVERFLOW": "memory service ring overflow",
+    "ERR_PENDING_OVERFLOW": "pending-reply scratch overflow",
+    "ERR_EJECT_OVERFLOW": "ejection scratch overflow",
+    "ERR_TOO_MANY_PORTS": "too many router ports for the native backend",
 }
+
+
+def _slots(abi: dict, prefix: str) -> dict:
+    """``{name: index}`` of one ``kernels.c`` slot enum."""
+    return {name: i for name, i in abi.items() if name.startswith(prefix)}
+
+
+def _place(abi: dict, prefix: str, values: dict) -> list:
+    """*values* (keyed by slot name) laid out in the C enum's order.
+
+    The key set must equal the enum's names exactly: a slot Python does
+    not fill, or fills but C no longer declares, is ABI drift.
+    """
+    slots = _slots(abi, prefix)
+    unfilled = sorted(slots.keys() - values.keys())
+    unknown = sorted(values.keys() - slots.keys())
+    if unfilled or unknown:
+        raise NativeAbiError(
+            f"{prefix}* slots drifted from kernels.c: "
+            f"not filled by accel.py: {unfilled or 'none'}; "
+            f"not declared by kernels.c: {unknown or 'none'}"
+        )
+    table = [None] * len(slots)
+    for name, i in slots.items():
+        table[i] = values[name]
+    return table
 
 
 class NativeUnsupported(RuntimeError):
@@ -130,17 +101,17 @@ class NativeAccel:
         _check(net._p0_flat is not None,
                "topology too large for precomputed route tables")
         n, p = net.num_nodes, net.num_ports
-        _check(p + 1 <= _MAX_PORTS - 1, "router has too many ports")
         try:
             self._lib = load_library()
+        except NativeAbiError:
+            raise
         except NativeBuildError as exc:
             raise NativeUnsupported(f"native backend: {exc}") from exc
+        abi = self._lib.abi
+        _check(p + 1 <= abi["MAX_PORTS"] - 1, "router has too many ports")
 
         self._sim = sim
-        self._net = net
         self._cores = cores
-        self._memory = memory
-        self._stats = net.stats
         self._buffered = config.network == "buffered"
         arb = _ARB_CODES[net.arbitration]
         self._arb_random = arb == _ARB_CODES["random"]
@@ -153,62 +124,67 @@ class NativeAccel:
         qcap = net.request_queue.capacity
 
         i64, u8 = np.int64, np.bool_
-
-        def alloc(shape, dtype):
-            return np.zeros(shape, dtype=dtype)
-
-        # Contiguous int64 copies of topology tables the C side indexes
-        # flat; the topology is immutable under the supported configs.
-        self._neighbor = np.ascontiguousarray(
-            net.topology.neighbor, dtype=i64
+        # Contiguous copies of topology tables the C side indexes flat;
+        # the topology is immutable under the supported configs.  They
+        # are allocated before the accel's own buffers: with them after,
+        # the C network kernel ran measurably slower at 1024 nodes.
+        neighbor = np.ascontiguousarray(net.topology.neighbor, dtype=i64)
+        reverse = np.ascontiguousarray(net.topology.reverse_port, dtype=i64)
+        link_up = np.ascontiguousarray(net.link_up, dtype=u8)
+        # Buffers the accel owns: slot name -> (shape, dtype).  The
+        # reference path's arena grids stay untouched so both paths can
+        # coexist in one process.
+        shapes = {
+            # working grids
+            "PT_G_META": ((n, p), i64),
+            "PT_G_BIRTH": ((n, p), i64),
+            "PT_G_KEY": ((n, p), i64),
+            "PT_G_AVAIL": ((n, p), u8),
+            "PT_G_OUTM": ((n, p), i64),
+            "PT_G_OUTB": ((n, p), i64),
+            "PT_H_KEY": ((n, p + 1), i64),
+            "PT_H_OUT": ((n, p + 1), i64),
+            "PT_W_NODE": (n, i64),
+            "PT_W_IN": (n, i64),
+            "PT_W_DOWN": (n, i64),
+            "PT_W_DPORT": (n, i64),
+            # ejection batch, exposed back to Python as array views
+            "PT_EJ_NODE": (ej_cap, i64),
+            "PT_EJ_SRC": (ej_cap, i64),
+            "PT_EJ_KIND": (ej_cap, i64),
+            "PT_EJ_SEQ": (ej_cap, i64),
+            "PT_EJ_CBIT": (ej_cap, u8),
+            # core-phase miss output + (node, seq)-dedup scratch
+            "PT_MISS_OUT": (n, i64),
+            "PT_ISSUE_DEST": (n, i64),
+            "PT_VISITED": (max(n * SEQ_RING, 1), np.uint8),
+            # memory system state lives entirely on the C side (the
+            # Python MemorySystem ring holds object tuples)
+            "PT_MEM_SRV": ((l2, ej_cap), i64),
+            "PT_MEM_REQ": ((l2, ej_cap), i64),
+            "PT_MEM_SEQ": ((l2, ej_cap), i64),
+            "PT_MEM_CNT": (l2, i64),
+            "PT_PEND_S": (pend_cap, i64),
+            "PT_PEND_R": (pend_cap, i64),
+            "PT_PEND_Q": (pend_cap, i64),
+            "PT_SCR_S": (2 * pend_cap, i64),
+            "PT_SCR_R": (2 * pend_cap, i64),
+            "PT_SCR_Q": (2 * pend_cap, i64),
+        }
+        owned = {
+            name: np.zeros(shape, dtype=dtype)
+            for name, (shape, dtype) in shapes.items()
+        }
+        self._key_grid = owned["PT_H_KEY" if self._buffered else "PT_G_KEY"]
+        self._ejected = tuple(
+            owned[f"PT_EJ_{field}"]
+            for field in ("NODE", "SRC", "KIND", "SEQ", "CBIT")
         )
-        self._reverse = np.ascontiguousarray(
-            net.topology.reverse_port, dtype=i64
-        )
-        self._link_up = np.ascontiguousarray(net.link_up, dtype=u8)
+        self._miss_out = owned["PT_MISS_OUT"]
+        self._issue_dest = owned["PT_ISSUE_DEST"]
 
-        # Working grids owned by the accel (the reference path's arena
-        # grids stay untouched so both paths can coexist in one process).
-        self._g_meta = alloc((n, p), i64)
-        self._g_birth = alloc((n, p), i64)
-        self._g_key = alloc((n, p), i64)
-        self._g_avail = alloc((n, p), u8)
-        self._g_outm = alloc((n, p), i64)
-        self._g_outb = alloc((n, p), i64)
-        self._h_key = alloc((n, p + 1), i64)
-        self._h_out = alloc((n, p + 1), i64)
-        self._w_node = alloc(n, i64)
-        self._w_in = alloc(n, i64)
-        self._w_down = alloc(n, i64)
-        self._w_dport = alloc(n, i64)
-
-        # Ejection batch, exposed back to Python as array views.
-        self._ej_node = alloc(ej_cap, i64)
-        self._ej_src = alloc(ej_cap, i64)
-        self._ej_kind = alloc(ej_cap, i64)
-        self._ej_seq = alloc(ej_cap, i64)
-        self._ej_cbit = alloc(ej_cap, u8)
-
-        # Core-phase miss output + (node, seq)-dedup scratch.
-        self._miss_out = alloc(n, i64)
-        self._issue_dest = alloc(n, i64)
-        self._visited = alloc(max(n * SEQ_RING, 1), np.uint8)
-
-        # Memory system state lives entirely on the C side (the Python
-        # MemorySystem ring holds object tuples, which C cannot share).
-        self._mem_srv = alloc((l2, ej_cap), i64)
-        self._mem_req = alloc((l2, ej_cap), i64)
-        self._mem_seq = alloc((l2, ej_cap), i64)
-        self._mem_cnt = alloc(l2, i64)
-        self._pend_s = alloc(pend_cap, i64)
-        self._pend_r = alloc(pend_cap, i64)
-        self._pend_q = alloc(pend_cap, i64)
-        self._scr_s = alloc(2 * pend_cap, i64)
-        self._scr_r = alloc(2 * pend_cap, i64)
-        self._scr_q = alloc(2 * pend_cap, i64)
-
-        dummy64 = alloc(1, i64)
-        dummy32 = alloc(1, np.int32)
+        dummy64 = np.zeros(1, dtype=i64)
+        dummy32 = np.zeros(1, dtype=np.int32)
         if self._buffered:
             buf = net.buffers
             buf_meta, buf_birth = buf.meta, buf.birth
@@ -223,95 +199,122 @@ class NativeAccel:
         req, resp = net.request_queue, net.response_queue
         meter, gate = net.starvation, net.throttle
         stats = net.stats
-        # Slot order here IS PT_SLOT_NAMES (and therefore the PT_* enum
-        # in kernels.c) — append-only; NATIVE002 checks all three sides.
-        arrays = [
-            net._ring_meta, net._ring_birth, net._lat_out,
-            net._target_flat, self._link_up, self._neighbor,
-            self._reverse, net._p0_flat, net._p1_flat,
-            net.congested_nodes,
-            req.dest, req.kind, req.flits, req.stamp, req.seq,
-            req.head, req.count,
-            resp.dest, resp.kind, resp.flits, resp.stamp, resp.seq,
-            resp.head, resp.count,
-            gate.counter, gate.rate, meter._ring, meter._sum,
-            stats.injected_per_node, stats.starved_cycles,
-            stats.port_starved_cycles, stats.latency_hist,
-            self._g_meta, self._g_birth, self._g_key, self._g_avail,
-            self._g_outm, self._g_outb,
-            self._h_key, self._h_out,
-            self._w_node, self._w_in, self._w_down, self._w_dport,
-            buf_meta, buf_birth, buf_head, buf_count, reserved,
-            self._ej_node, self._ej_src, self._ej_kind, self._ej_seq,
-            self._ej_cbit,
-            cores.active, cores.retired, cores._issue_pos, cores._recv,
-            cores._complete, cores._issued, cores._completed,
-            cores._head, cores._insns_until_miss, cores.epoch_insns,
-            cores.stall_cycles, cores.window_stall_cycles,
-            self._miss_out,
-            self._visited,
-            self._mem_srv, self._mem_req, self._mem_seq, self._mem_cnt,
-            self._pend_s, self._pend_r, self._pend_q,
-            self._scr_s, self._scr_r, self._scr_q,
-            cores.misses_issued, cores.epoch_flits, self._issue_dest,
-        ]
-        if len(arrays) != len(PT_SLOT_NAMES):
-            raise NativeUnsupported(
-                f"pointer table has {len(arrays)} entries but "
-                f"PT_SLOT_NAMES declares {len(PT_SLOT_NAMES)} slots; the "
-                "table drifted from the kernels.c PT_* enum — run "
-                "`python -m repro.analysis src --select NATIVE002`"
-            )
-        for a in arrays:
+        queue_fields = ("dest", "kind", "flits", "stamp", "seq", "head",
+                        "count")
+        pt_arrays = _place(abi, "PT_", {
+            **owned,
+            **{f"PT_REQ_{f.upper()}": getattr(req, f) for f in queue_fields},
+            **{f"PT_RESP_{f.upper()}": getattr(resp, f) for f in queue_fields},
+            "PT_RING_META": net._ring_meta,
+            "PT_RING_BIRTH": net._ring_birth,
+            "PT_LAT_OUT": net._lat_out,
+            "PT_TARGET_FLAT": net._target_flat,
+            "PT_LINK_UP": link_up,
+            "PT_NEIGHBOR": neighbor,
+            "PT_REVERSE": reverse,
+            "PT_P0TAB": net._p0_flat,
+            "PT_P1TAB": net._p1_flat,
+            "PT_CONGESTED": net.congested_nodes,
+            "PT_THR_COUNTER": gate.counter,
+            "PT_THR_RATE": gate.rate,
+            "PT_STARV_RING": meter._ring,
+            "PT_STARV_SUM": meter._sum,
+            "PT_INJ_PER_NODE": stats.injected_per_node,
+            "PT_STARVED_CYC": stats.starved_cycles,
+            "PT_PORT_STARVED_CYC": stats.port_starved_cycles,
+            "PT_LAT_HIST": stats.latency_hist,
+            "PT_BUF_META": buf_meta,
+            "PT_BUF_BIRTH": buf_birth,
+            "PT_BUF_HEAD": buf_head,
+            "PT_BUF_COUNT": buf_count,
+            "PT_RESERVED": reserved,
+            "PT_CO_ACTIVE": cores.active,
+            "PT_CO_RETIRED": cores.retired,
+            "PT_CO_ISSUE_POS": cores._issue_pos,
+            "PT_CO_RECV": cores._recv,
+            "PT_CO_COMPLETE": cores._complete,
+            "PT_CO_ISSUED": cores._issued,
+            "PT_CO_COMPLETED": cores._completed,
+            "PT_CO_HEAD": cores._head,
+            "PT_CO_GAP": cores._insns_until_miss,
+            "PT_CO_EPOCH_INSNS": cores.epoch_insns,
+            "PT_CO_STALL": cores.stall_cycles,
+            "PT_CO_WSTALL": cores.window_stall_cycles,
+            "PT_CO_MISSES": cores.misses_issued,
+            "PT_CO_EPOCH_FLITS": cores.epoch_flits,
+        })
+        for a in pt_arrays:
             assert a.flags["C_CONTIGUOUS"], "pointer-table arrays must be contiguous"
-        self._arrays = arrays  # keep the buffers alive
-        self._pt = (ctypes.c_void_p * len(arrays))(
-            *[a.ctypes.data for a in arrays]
+        self._arrays = pt_arrays  # keep the buffers alive
+        self._pt = (ctypes.c_void_p * len(pt_arrays))(
+            *[a.ctypes.data for a in pt_arrays]
         )
 
-        cfg = np.zeros(CFG_NUM, dtype=np.int64)
-        cfg[CFG_N] = n
-        cfg[CFG_P] = p
-        cfg[CFG_DEPTH] = net._ring_depth
-        cfg[CFG_EJECT_W] = eject_width
-        cfg[CFG_QCAP] = qcap
-        cfg[CFG_SW] = meter.window
-        cfg[CFG_ARB] = arb
-        cfg[CFG_ISSUE_W] = cores.issue_width
-        cfg[CFG_WINDOW] = cores.window_size
-        cfg[CFG_MSHR] = cores.mshr_limit
-        cfg[CFG_REPLY_FLITS] = cores.reply_flits
-        cfg[CFG_L2_LAT] = l2
-        cfg[CFG_EJ_CAP] = ej_cap
-        cfg[CFG_PEND_CAP] = pend_cap
-        cfg[CFG_BUF_CAP] = buf_cap
-        cfg[CFG_SLOT_COUNT] = len(arrays)
-        cfg[CFG_REQ_FLITS] = cores.request_flits
+        cfg = np.array(_place(abi, "CFG_", {
+            "CFG_N": n,
+            "CFG_P": p,
+            "CFG_DEPTH": net._ring_depth,
+            "CFG_EJECT_W": eject_width,
+            "CFG_QCAP": qcap,
+            "CFG_SW": meter.window,
+            "CFG_ARB": arb,
+            "CFG_ISSUE_W": cores.issue_width,
+            "CFG_WINDOW": cores.window_size,
+            "CFG_MSHR": cores.mshr_limit,
+            "CFG_REPLY_FLITS": cores.reply_flits,
+            "CFG_L2_LAT": l2,
+            "CFG_EJ_CAP": ej_cap,
+            "CFG_PEND_CAP": pend_cap,
+            "CFG_BUF_CAP": buf_cap,
+            "CFG_SLOT_COUNT": len(pt_arrays),
+            "CFG_REQ_FLITS": cores.request_flits,
+        }), dtype=np.int64)
         self._cfg = cfg
 
-        ctr = np.zeros(CTR_NUM, dtype=np.int64)
-        ctr[CTR_CURSOR] = net._cursor
-        ctr[CTR_SPOS] = meter._pos
-        ctr[CTR_SSEEN] = meter._cycles_seen
-        ctr[CTR_CYCLES] = stats.cycles
-        ctr[CTR_INJ] = stats.injected_flits
-        ctr[CTR_EJ_FLITS] = stats.ejected_flits
-        ctr[CTR_HOPS] = stats.flit_hops
-        ctr[CTR_DEFL] = stats.deflections
-        ctr[CTR_BWRITES] = stats.buffer_writes
-        ctr[CTR_BREADS] = stats.buffer_reads
-        ctr[CTR_OCC] = stats.buffer_occupancy_sum
-        ctr[CTR_LAT_SUM] = stats.latency_sum
-        ctr[CTR_LAT_CNT] = stats.latency_count
-        ctr[CTR_LAT_MAX] = stats.latency_max
-        ctr[CTR_HOPS_SUM] = stats.hops_sum
-        ctr[CTR_INJLAT_SUM] = net.injection_latency_sum
-        ctr[CTR_INJLAT_CNT] = net.injection_latency_count
-        ctr[CTR_HEAD_DIRTY] = int(cores._head_dirty)
-        ctr[CTR_MEM_CURSOR] = memory._cursor
-        ctr[CTR_REQ_SERVICED] = memory.requests_serviced
-        ctr[CTR_REP_ISSUED] = memory.replies_issued
+        # (owner, attribute, ctr slot) for each Python scalar the
+        # kernels advance: seeded into ctr here, copied back by flush().
+        mirrored = (
+            (stats, "cycles", "CTR_CYCLES"),
+            (stats, "injected_flits", "CTR_INJ"),
+            (stats, "ejected_flits", "CTR_EJ_FLITS"),
+            (stats, "flit_hops", "CTR_HOPS"),
+            (stats, "deflections", "CTR_DEFL"),
+            (stats, "buffer_writes", "CTR_BWRITES"),
+            (stats, "buffer_reads", "CTR_BREADS"),
+            (stats, "buffer_occupancy_sum", "CTR_OCC"),
+            (stats, "latency_sum", "CTR_LAT_SUM"),
+            (stats, "latency_count", "CTR_LAT_CNT"),
+            (stats, "latency_max", "CTR_LAT_MAX"),
+            (stats, "hops_sum", "CTR_HOPS_SUM"),
+            (net, "injection_latency_sum", "CTR_INJLAT_SUM"),
+            (net, "injection_latency_count", "CTR_INJLAT_CNT"),
+            (net, "_cursor", "CTR_CURSOR"),
+            (meter, "_pos", "CTR_SPOS"),
+            (meter, "_cycles_seen", "CTR_SSEEN"),
+            (memory, "requests_serviced", "CTR_REQ_SERVICED"),
+            (memory, "replies_issued", "CTR_REP_ISSUED"),
+        )
+        counters = {name: getattr(obj, attr) for obj, attr, name in mirrored}
+        counters.update(
+            CTR_HEAD_DIRTY=int(cores._head_dirty),
+            CTR_MEM_CURSOR=memory._cursor,
+            # C-side scratch counters
+            CTR_MISS_CNT=0, CTR_PEND_CNT=0, CTR_EJ_COUNT=0, CTR_ERROR=0,
+            CTR_ACCEPTED=0,
+        )
+        ctr = np.array(_place(abi, "CTR_", counters), dtype=np.int64)
         self._ctr = ctr
+        # Plain-int indices: the per-cycle path does no name lookups.
+        ctr_slot = _slots(abi, "CTR_")
+        self._mirrored = tuple(
+            (obj, attr, ctr_slot[name]) for obj, attr, name in mirrored
+        )
+        self._i_head_dirty = ctr_slot["CTR_HEAD_DIRTY"]
+        self._i_miss_cnt = ctr_slot["CTR_MISS_CNT"]
+        self._i_accepted = ctr_slot["CTR_ACCEPTED"]
+        self._i_ej_count = ctr_slot["CTR_EJ_COUNT"]
+        self._i_error = ctr_slot["CTR_ERROR"]
+        self._errors = {abi[name]: why for name, why in _ERRORS.items()}
 
         ll = ctypes.POINTER(ctypes.c_longlong)
         self._cfg_p = cfg.ctypes.data_as(ll)
@@ -319,7 +322,6 @@ class NativeAccel:
         self._net_kernel = (
             self._lib.noc_credit if self._buffered else self._lib.noc_bless
         )
-        self._key_grid = self._h_key if self._buffered else self._g_key
         self._empty_ejected = EjectedFlits.empty()
         # The scalar-stats mirror flush is deferred to epoch boundaries
         # and result() unless a per-cycle observer (the watchdog) reads
@@ -328,10 +330,10 @@ class NativeAccel:
 
     # ------------------------------------------------------------------
     def _check_error(self) -> None:
-        code = int(self._ctr[CTR_ERROR])
+        code = int(self._ctr[self._i_error])
         if code:
             raise RuntimeError(
-                f"native kernel error: {_ERRORS.get(code, code)}"
+                f"native kernel error: {self._errors.get(code, code)}"
             )
 
     def flush(self) -> None:
@@ -342,28 +344,10 @@ class NativeAccel:
         epoch boundaries and before result() — and per network step
         when a watchdog observes the stats every cycle.
         """
-        ctr, stats, net = self._ctr, self._stats, self._net
-        stats.cycles = int(ctr[CTR_CYCLES])
-        stats.injected_flits = int(ctr[CTR_INJ])
-        stats.ejected_flits = int(ctr[CTR_EJ_FLITS])
-        stats.flit_hops = int(ctr[CTR_HOPS])
-        stats.deflections = int(ctr[CTR_DEFL])
-        stats.buffer_writes = int(ctr[CTR_BWRITES])
-        stats.buffer_reads = int(ctr[CTR_BREADS])
-        stats.buffer_occupancy_sum = int(ctr[CTR_OCC])
-        stats.latency_sum = int(ctr[CTR_LAT_SUM])
-        stats.latency_count = int(ctr[CTR_LAT_CNT])
-        stats.latency_max = int(ctr[CTR_LAT_MAX])
-        stats.hops_sum = int(ctr[CTR_HOPS_SUM])
-        net.injection_latency_sum = int(ctr[CTR_INJLAT_SUM])
-        net.injection_latency_count = int(ctr[CTR_INJLAT_CNT])
-        net._cursor = int(ctr[CTR_CURSOR])
-        meter = net.starvation
-        meter._pos = int(ctr[CTR_SPOS])
-        meter._cycles_seen = int(ctr[CTR_SSEEN])
-        self._memory.requests_serviced = int(ctr[CTR_REQ_SERVICED])
-        self._memory.replies_issued = int(ctr[CTR_REP_ISSUED])
-        self._cores._head_dirty = bool(ctr[CTR_HEAD_DIRTY])
+        values = self._ctr.tolist()
+        for obj, attr, i in self._mirrored:
+            setattr(obj, attr, values[i])
+        self._cores._head_dirty = bool(values[self._i_head_dirty])
 
     # ------------------------------------------------------------------
     # Phase drivers (called by the Simulator's native pipeline)
@@ -371,7 +355,7 @@ class NativeAccel:
     def cores_phase(self, cycle: int) -> None:
         self._lib.noc_cores(self._pt, self._cfg_p, self._ctr_p, cycle)
         self._check_error()
-        k = int(self._ctr[CTR_MISS_CNT])
+        k = int(self._ctr[self._i_miss_cnt])
         if k:
             # The reference miss tail, split around its RNG draws: the
             # destinations and next gaps come from the same streams, in
@@ -382,7 +366,7 @@ class NativeAccel:
                 self._miss_out[:k], cores.rng
             )
             self._lib.noc_issue(self._pt, self._cfg_p, self._ctr_p, cycle)
-            m = int(self._ctr[CTR_ACCEPTED])
+            m = int(self._ctr[self._i_accepted])
             if m:
                 accepted = self._miss_out[:m]
                 cores._insns_until_miss[accepted] = (
@@ -408,11 +392,9 @@ class NativeAccel:
             # Ejection consumers run in C (noc_eject); the batch only
             # needs Python-side wrapping for an observing controller.
             return self._empty_ejected
-        k = int(self._ctr[CTR_EJ_COUNT])
-        return EjectedFlits(
-            self._ej_node[:k], self._ej_src[:k], self._ej_kind[:k],
-            self._ej_seq[:k], self._ej_cbit[:k],
-        )
+        k = int(self._ctr[self._i_ej_count])
+        node, src, kind, seq, cbit = self._ejected
+        return EjectedFlits(node[:k], src[:k], kind[:k], seq[:k], cbit[:k])
 
     def ejection_phase(self, cycle: int) -> None:
         self._lib.noc_eject(self._pt, self._cfg_p, self._ctr_p, cycle)

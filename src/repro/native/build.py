@@ -6,6 +6,13 @@ The build artifact is tagged with a hash of the source so editing the
 kernels invalidates stale objects, and the compile is atomic (build to a
 temp file, ``os.replace`` into place) so concurrent processes never load
 a half-written library.
+
+``kernels.c`` is the single source of truth for the C ABI: it exports a
+name→value table (``noc_abi``) of every pointer-table, cfg and ctr slot
+and every ``#define`` the Python model restates.  The loader reads that
+table once per process and checks the Python constants against it, so
+a layout drift fails on the first native load instead of silently
+corrupting results.
 """
 
 from __future__ import annotations
@@ -17,11 +24,21 @@ import shutil
 import subprocess
 import tempfile
 
-__all__ = ["NativeBuildError", "load_library", "native_available"]
+__all__ = [
+    "NativeAbiError", "NativeBuildError", "load_library", "native_available",
+]
 
 
 class NativeBuildError(RuntimeError):
     """The native kernels could not be compiled or loaded."""
+
+
+class NativeAbiError(NativeBuildError):
+    """The Python side disagrees with the ABI ``kernels.c`` exports.
+
+    A bug, not a host limitation: :func:`native_available` re-raises it
+    rather than reporting the backend as merely unavailable.
+    """
 
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
@@ -93,7 +110,7 @@ def load_library():
             lib = ctypes.CDLL(so_path)
         except OSError as exc2:
             raise NativeBuildError(f"loading {so_path} failed: {exc2}") from exc
-    abi = [
+    argtypes = [
         ctypes.POINTER(ctypes.c_void_p),
         ctypes.POINTER(ctypes.c_longlong),
         ctypes.POINTER(ctypes.c_longlong),
@@ -101,16 +118,79 @@ def load_library():
     ]
     for name in KERNELS:
         fn = getattr(lib, name)
-        fn.argtypes = abi
+        fn.argtypes = argtypes
         fn.restype = None
+    lib.abi = _read_abi(lib)
+    _check_python_mirrors(lib.abi)
     _lib = lib
     return lib
+
+
+def _read_abi(lib) -> dict:
+    """The ``{name: value}`` table ``noc_abi`` exports."""
+    names = ctypes.POINTER(ctypes.c_char_p)()
+    values = ctypes.POINTER(ctypes.c_longlong)()
+    lib.noc_abi.argtypes = [
+        ctypes.POINTER(type(names)), ctypes.POINTER(type(values)),
+    ]
+    lib.noc_abi.restype = ctypes.c_longlong
+    count = lib.noc_abi(ctypes.byref(names), ctypes.byref(values))
+    return {names[i].decode(): values[i] for i in range(count)}
+
+
+def _check_python_mirrors(abi: dict) -> None:
+    """Raise :class:`NativeAbiError` naming every Python constant that
+    differs from the ``kernels.c`` value it restates."""
+    from repro.native.accel import _ARB_CODES
+    from repro.network import engine, flit
+    from repro.network.base import NetworkStats
+    from repro.network.injection import InjectionThrottleGate
+
+    mirrors = [
+        (c_name, f"{owner.__name__}.{attr}", getattr(owner, attr))
+        for c_name, owner, attr in (
+            ("NODE_MASK", flit, "_NODE_MASK"),
+            ("SRC_SHIFT", flit, "_SRC_SHIFT"),
+            ("KIND_SHIFT", flit, "_KIND_SHIFT"),
+            ("CBIT", flit, "CBIT_MASK"),
+            ("SEQ_SHIFT", flit, "_SEQ_SHIFT"),
+            ("SEQ_MASK", flit, "_SEQ_MASK"),
+            ("HOPS_SHIFT", flit, "_HOPS_SHIFT"),
+            ("HOPS_MASK", flit, "_HOPS_MASK"),
+            ("HOP_ONE", flit, "HOP_ONE"),
+            ("SEQ_RING", flit, "SEQ_RING"),
+            ("KIND_REQUEST", flit, "FLIT_REQUEST"),
+            ("KIND_REPLY", flit, "FLIT_REPLY"),
+            ("HIST_BUCKETS", NetworkStats, "LATENCY_HIST_BUCKETS"),
+            ("THROTTLE_MAX", InjectionThrottleGate, "MAX_COUNT"),
+            ("KEY_MAX", engine, "_KEY_MAX"),
+        )
+    ]
+    # oldest_first -> ARB_OLDEST, youngest_first -> ARB_YOUNGEST, ...
+    mirrors += [
+        (f"ARB_{policy.split('_')[0].upper()}",
+         f"repro.native.accel._ARB_CODES[{policy!r}]", code)
+        for policy, code in _ARB_CODES.items()
+    ]
+    drift = [
+        f"{py_name} = {int(value)} but kernels.c "
+        + (f"defines {c_name} = {abi[c_name]}" if c_name in abi
+           else f"exports no {c_name}")
+        for c_name, py_name, value in mirrors
+        if abi.get(c_name) != int(value)
+    ]
+    if drift:
+        raise NativeAbiError(
+            "Python constants drifted from kernels.c: " + "; ".join(drift)
+        )
 
 
 def native_available() -> bool:
     """Whether the compiled backend can be built and loaded here."""
     try:
         load_library()
+    except NativeAbiError:
+        raise
     except NativeBuildError:
         return False
     return True

@@ -12,15 +12,19 @@
  * numpy-vs-native equivalence suite green.
  *
  * ABI: every entry point takes (void **pt, const long long *cfg,
- * long long *ctr, long long cycle).  `pt` is the pointer table (slot
- * enum below, built in the same order by accel.py), `cfg` immutable
- * configuration constants, `ctr` mutable 64-bit counters mirrored back
- * onto the Python stats objects after each call.
+ * long long *ctr, long long cycle).  `pt` is the pointer table (PT_*
+ * slots below), `cfg` immutable configuration constants (CFG_*), `ctr`
+ * mutable 64-bit counters (CTR_*) mirrored back onto the Python stats
+ * objects.  This file is the only place the layout is written down:
+ * noc_abi() exports every slot and every #define Python restates, and
+ * the loader (build.py) checks the Python side against that table.
  */
 
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
+
+typedef long long i64;
 
 /* ------------------------------------------------------------------ */
 /* Flit meta layout (repro.network.flit)                               */
@@ -43,50 +47,6 @@
 #define KIND_REQUEST 0
 #define KIND_REPLY 1
 
-/* Pointer-table slots; accel.py's PT_SLOT_NAMES/arrays mirror this
- * order exactly — checked statically by NATIVE002 (repro.analysis). */
-enum {
-    PT_RING_META = 0, PT_RING_BIRTH, PT_LAT_OUT, PT_TARGET_FLAT,
-    PT_LINK_UP, PT_NEIGHBOR, PT_REVERSE, PT_P0TAB, PT_P1TAB, PT_CONGESTED,
-    PT_REQ_DEST, PT_REQ_KIND, PT_REQ_FLITS, PT_REQ_STAMP, PT_REQ_SEQ,
-    PT_REQ_HEAD, PT_REQ_COUNT,
-    PT_RESP_DEST, PT_RESP_KIND, PT_RESP_FLITS, PT_RESP_STAMP, PT_RESP_SEQ,
-    PT_RESP_HEAD, PT_RESP_COUNT,
-    PT_THR_COUNTER, PT_THR_RATE, PT_STARV_RING, PT_STARV_SUM,
-    PT_INJ_PER_NODE, PT_STARVED_CYC, PT_PORT_STARVED_CYC, PT_LAT_HIST,
-    PT_G_META, PT_G_BIRTH, PT_G_KEY, PT_G_AVAIL, PT_G_OUTM, PT_G_OUTB,
-    PT_H_KEY, PT_H_OUT, PT_W_NODE, PT_W_IN, PT_W_DOWN, PT_W_DPORT,
-    PT_BUF_META, PT_BUF_BIRTH, PT_BUF_HEAD, PT_BUF_COUNT, PT_RESERVED,
-    PT_EJ_NODE, PT_EJ_SRC, PT_EJ_KIND, PT_EJ_SEQ, PT_EJ_CBIT,
-    PT_CO_ACTIVE, PT_CO_RETIRED, PT_CO_ISSUE_POS, PT_CO_RECV,
-    PT_CO_COMPLETE, PT_CO_ISSUED, PT_CO_COMPLETED, PT_CO_HEAD, PT_CO_GAP,
-    PT_CO_EPOCH_INSNS, PT_CO_STALL, PT_CO_WSTALL, PT_MISS_OUT,
-    PT_VISITED,
-    PT_MEM_SRV, PT_MEM_REQ, PT_MEM_SEQ, PT_MEM_CNT,
-    PT_PEND_S, PT_PEND_R, PT_PEND_Q, PT_SCR_S, PT_SCR_R, PT_SCR_Q,
-    PT_CO_MISSES, PT_CO_EPOCH_FLITS, PT_ISSUE_DEST,
-    PT_NUM_SLOTS
-};
-
-/* cfg slots; mirrored in accel.py, checked by NATIVE001 */
-enum {
-    CFG_N = 0, CFG_P, CFG_DEPTH, CFG_EJECT_W, CFG_QCAP, CFG_SW, CFG_ARB,
-    CFG_ISSUE_W, CFG_WINDOW, CFG_MSHR, CFG_REPLY_FLITS, CFG_L2_LAT,
-    CFG_EJ_CAP, CFG_PEND_CAP, CFG_BUF_CAP, CFG_SLOT_COUNT, CFG_REQ_FLITS,
-    CFG_NUM
-};
-
-/* ctr slots; mirrored in accel.py, checked by NATIVE001 */
-enum {
-    CTR_CURSOR = 0, CTR_SPOS, CTR_SSEEN, CTR_CYCLES, CTR_INJ,
-    CTR_EJ_FLITS, CTR_HOPS, CTR_DEFL, CTR_BWRITES, CTR_BREADS, CTR_OCC,
-    CTR_LAT_SUM, CTR_LAT_CNT, CTR_LAT_MAX, CTR_HOPS_SUM, CTR_INJLAT_SUM,
-    CTR_INJLAT_CNT, CTR_HEAD_DIRTY, CTR_MISS_CNT, CTR_MEM_CURSOR,
-    CTR_PEND_CNT, CTR_REQ_SERVICED, CTR_REP_ISSUED, CTR_EJ_COUNT,
-    CTR_ERROR, CTR_ACCEPTED,
-    CTR_NUM
-};
-
 /* ctr[CTR_ERROR] codes */
 #define ERR_SLOT_MISMATCH 1
 #define ERR_MEM_RING_OVERFLOW 2
@@ -98,7 +58,83 @@ enum {
 #define ARB_YOUNGEST 1
 #define ARB_RANDOM 2
 
-typedef long long i64;
+/* Every #define above, exported by name through noc_abi(). */
+#define ABI_DEFINES(X)                                                  \
+    X(NODE_MASK) X(SRC_SHIFT) X(KIND_SHIFT) X(CBIT) X(SEQ_SHIFT)        \
+    X(SEQ_MASK) X(HOPS_SHIFT) X(HOPS_MASK) X(HOP_ONE) X(KEY_MAX)        \
+    X(SEQ_RING) X(HIST_BUCKETS) X(THROTTLE_MAX) X(MAX_PORTS)            \
+    X(KIND_REQUEST) X(KIND_REPLY)                                       \
+    X(ERR_SLOT_MISMATCH) X(ERR_MEM_RING_OVERFLOW)                       \
+    X(ERR_PENDING_OVERFLOW) X(ERR_EJECT_OVERFLOW)                       \
+    X(ERR_TOO_MANY_PORTS)                                               \
+    X(ARB_OLDEST) X(ARB_YOUNGEST) X(ARB_RANDOM)
+
+/* Pointer-table slots.  accel.py fills the table by these names, so
+ * slots may be added, removed or reordered here alone (queue_take
+ * needs each queue's seven slots consecutive, in this order). */
+#define PT_SLOTS(X)                                                     \
+    X(PT_RING_META) X(PT_RING_BIRTH) X(PT_LAT_OUT) X(PT_TARGET_FLAT)    \
+    X(PT_LINK_UP) X(PT_NEIGHBOR) X(PT_REVERSE) X(PT_P0TAB) X(PT_P1TAB)  \
+    X(PT_CONGESTED)                                                     \
+    X(PT_REQ_DEST) X(PT_REQ_KIND) X(PT_REQ_FLITS) X(PT_REQ_STAMP)       \
+    X(PT_REQ_SEQ) X(PT_REQ_HEAD) X(PT_REQ_COUNT)                        \
+    X(PT_RESP_DEST) X(PT_RESP_KIND) X(PT_RESP_FLITS) X(PT_RESP_STAMP)   \
+    X(PT_RESP_SEQ) X(PT_RESP_HEAD) X(PT_RESP_COUNT)                     \
+    X(PT_THR_COUNTER) X(PT_THR_RATE) X(PT_STARV_RING) X(PT_STARV_SUM)   \
+    X(PT_INJ_PER_NODE) X(PT_STARVED_CYC) X(PT_PORT_STARVED_CYC)         \
+    X(PT_LAT_HIST)                                                      \
+    X(PT_G_META) X(PT_G_BIRTH) X(PT_G_KEY) X(PT_G_AVAIL) X(PT_G_OUTM)   \
+    X(PT_G_OUTB)                                                        \
+    X(PT_H_KEY) X(PT_H_OUT) X(PT_W_NODE) X(PT_W_IN) X(PT_W_DOWN)        \
+    X(PT_W_DPORT)                                                       \
+    X(PT_BUF_META) X(PT_BUF_BIRTH) X(PT_BUF_HEAD) X(PT_BUF_COUNT)       \
+    X(PT_RESERVED)                                                      \
+    X(PT_EJ_NODE) X(PT_EJ_SRC) X(PT_EJ_KIND) X(PT_EJ_SEQ) X(PT_EJ_CBIT) \
+    X(PT_CO_ACTIVE) X(PT_CO_RETIRED) X(PT_CO_ISSUE_POS) X(PT_CO_RECV)   \
+    X(PT_CO_COMPLETE) X(PT_CO_ISSUED) X(PT_CO_COMPLETED) X(PT_CO_HEAD)  \
+    X(PT_CO_GAP) X(PT_CO_EPOCH_INSNS) X(PT_CO_STALL) X(PT_CO_WSTALL)    \
+    X(PT_MISS_OUT) X(PT_VISITED)                                        \
+    X(PT_MEM_SRV) X(PT_MEM_REQ) X(PT_MEM_SEQ) X(PT_MEM_CNT)             \
+    X(PT_PEND_S) X(PT_PEND_R) X(PT_PEND_Q) X(PT_SCR_S) X(PT_SCR_R)      \
+    X(PT_SCR_Q)                                                         \
+    X(PT_CO_MISSES) X(PT_CO_EPOCH_FLITS) X(PT_ISSUE_DEST)
+
+/* cfg slots */
+#define CFG_SLOTS(X)                                                    \
+    X(CFG_N) X(CFG_P) X(CFG_DEPTH) X(CFG_EJECT_W) X(CFG_QCAP) X(CFG_SW) \
+    X(CFG_ARB) X(CFG_ISSUE_W) X(CFG_WINDOW) X(CFG_MSHR)                 \
+    X(CFG_REPLY_FLITS) X(CFG_L2_LAT) X(CFG_EJ_CAP) X(CFG_PEND_CAP)      \
+    X(CFG_BUF_CAP) X(CFG_SLOT_COUNT) X(CFG_REQ_FLITS)
+
+/* ctr slots */
+#define CTR_SLOTS(X)                                                    \
+    X(CTR_CURSOR) X(CTR_SPOS) X(CTR_SSEEN) X(CTR_CYCLES) X(CTR_INJ)     \
+    X(CTR_EJ_FLITS) X(CTR_HOPS) X(CTR_DEFL) X(CTR_BWRITES)              \
+    X(CTR_BREADS) X(CTR_OCC) X(CTR_LAT_SUM) X(CTR_LAT_CNT)              \
+    X(CTR_LAT_MAX) X(CTR_HOPS_SUM) X(CTR_INJLAT_SUM) X(CTR_INJLAT_CNT)  \
+    X(CTR_HEAD_DIRTY) X(CTR_MISS_CNT) X(CTR_MEM_CURSOR) X(CTR_PEND_CNT) \
+    X(CTR_REQ_SERVICED) X(CTR_REP_ISSUED) X(CTR_EJ_COUNT) X(CTR_ERROR)  \
+    X(CTR_ACCEPTED)
+
+#define ENUM_MEMBER(name) name,
+enum { PT_SLOTS(ENUM_MEMBER) PT_NUM_SLOTS };
+enum { CFG_SLOTS(ENUM_MEMBER) CFG_NUM };
+enum { CTR_SLOTS(ENUM_MEMBER) CTR_NUM };
+
+#define ABI_ALL(X) PT_SLOTS(X) CFG_SLOTS(X) CTR_SLOTS(X) ABI_DEFINES(X)
+#define ABI_NAME(name) #name,
+#define ABI_VALUE(name) (i64)(name),
+static const char *const abi_names[] = { ABI_ALL(ABI_NAME) };
+static const i64 abi_values[] = { ABI_ALL(ABI_VALUE) };
+
+/* The name→value table of every slot and mirrored #define; returns the
+ * entry count.  Read once per process by build.load_library. */
+i64 noc_abi(const char *const **names, const i64 **values)
+{
+    *names = abi_names;
+    *values = abi_values;
+    return (i64)(sizeof abi_values / sizeof abi_values[0]);
+}
 
 static int check_abi(const i64 *cfg, i64 *ctr)
 {

@@ -67,7 +67,7 @@ class NetworkStats:
     #: per-flit latency histogram; the last bucket absorbs the tail
     latency_hist: Optional[np.ndarray] = field(default=None)
 
-    LATENCY_HIST_BUCKETS = 1024  # repro: c-mirror[HIST_BUCKETS]
+    LATENCY_HIST_BUCKETS = 1024
 
     def init_arrays(self, num_nodes: int) -> None:
         self.injected_per_node = np.zeros(num_nodes, dtype=np.int64)

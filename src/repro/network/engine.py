@@ -55,7 +55,6 @@ from repro.network.flit import (
     meta_seq,
     meta_src,
     pack_meta,
-    priority_key,
     priority_key_into,
 )
 from repro.topology.mesh import NUM_PORTS
@@ -75,17 +74,10 @@ __all__ = [
     "RouterEngine",
 ]
 
-_KEY_MAX = np.iinfo(np.int64).max  # repro: c-mirror[KEY_MAX]
+_KEY_MAX = np.iinfo(np.int64).max
 
 #: Largest network that precomputes (n, n) productive-route tables.
 _ROUTE_TABLE_MAX_NODES = 1024
-
-# Legacy 4-port-mesh aliases.  The engine itself is port-count generic:
-# per network, the NI input port and the eject output port are both
-# ``topology.num_ports`` (the first index past the link ports).
-NI_PORT = NUM_PORTS
-EJECT_PORT = NUM_PORTS
-
 
 # ----------------------------------------------------------------------
 # Scratch arena
@@ -122,23 +114,16 @@ class ArbitrationPolicy:
 
     name = ""
 
-    def keys(self, engine: "RouterEngine", birth, meta) -> np.ndarray:
-        raise NotImplementedError
-
     def keys_into(self, engine: "RouterEngine", birth, meta, out, scratch):
-        """Allocation-free :meth:`keys` into *out* (*scratch* is an
-        int64 buffer of the same shape policies may clobber)."""
-        out[:] = self.keys(engine, birth, meta)
-        return out
+        """Write the per-flit keys into *out* and return it (*scratch*
+        is an int64 buffer of the same shape policies may clobber)."""
+        raise NotImplementedError
 
 
 class OldestFirst(ArbitrationPolicy):
     """The paper's baseline: age order, ties broken by source id."""
 
     name = "oldest_first"
-
-    def keys(self, engine, birth, meta):
-        return priority_key(birth, meta_src(meta))
 
     def keys_into(self, engine, birth, meta, out, scratch):
         meta_src(meta, out=scratch)
@@ -149,9 +134,6 @@ class YoungestFirst(ArbitrationPolicy):
     """Inverted age order (§6 arbitration ablation)."""
 
     name = "youngest_first"
-
-    def keys(self, engine, birth, meta):
-        return -priority_key(birth, meta_src(meta))
 
     def keys_into(self, engine, birth, meta, out, scratch):
         meta_src(meta, out=scratch)
@@ -164,12 +146,10 @@ class RandomArbitration(ArbitrationPolicy):
 
     name = "random"
 
-    def keys(self, engine, birth, meta):
-        return engine._rng.integers(0, _KEY_MAX, size=birth.shape, dtype=np.int64)
-
     def keys_into(self, engine, birth, meta, out, scratch):
-        # The generator draw itself allocates; keep the call identical
-        # (same size, dtype, bounds) so results match the legacy path.
+        # The generator draw itself allocates; the native backend makes
+        # the identical call (same size, dtype, bounds) so both backends
+        # consume the stream alike.
         out[:] = engine._rng.integers(
             0, _KEY_MAX, size=birth.shape, dtype=np.int64
         )
@@ -1105,12 +1085,9 @@ class RouterEngine(NocModel):
     # ------------------------------------------------------------------
     # Stage helpers (used by FlowControl implementations)
     # ------------------------------------------------------------------
-    def arbitration_keys(self, birth: np.ndarray, meta: np.ndarray) -> np.ndarray:
-        """Per-flit arbitration keys; the smallest key wins a conflict."""
-        return self._arb.keys(self, birth, meta)
-
     def arbitration_keys_into(self, birth, meta, out, scratch) -> np.ndarray:
-        """Allocation-free :meth:`arbitration_keys` into scratch *out*."""
+        """Per-flit arbitration keys into scratch *out*; the smallest
+        key wins a conflict."""
         return self._arb.keys_into(self, birth, meta, out, scratch)
 
     def productive_into(self, dest, idx, p0, p1=None):

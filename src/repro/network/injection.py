@@ -60,7 +60,7 @@ class InjectionThrottleGate:
     fraction of attempts is blocked over each counter period.
     """
 
-    MAX_COUNT = 128  # 7-bit counter, as in §6.5  # repro: c-mirror[THROTTLE_MAX]
+    MAX_COUNT = 128  # 7-bit counter, as in §6.5
 
     def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes

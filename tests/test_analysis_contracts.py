@@ -1,15 +1,11 @@
-"""Tests for the cross-layer contract rules (NATIVE/RNG/CACHE/REG) and
-the analyzer infrastructure added alongside them (SARIF output, the
+"""Tests for the cross-layer contract rules (RNG/CACHE/REG) and the
+analyzer infrastructure added alongside them (SARIF output, the
 findings baseline, and the AST cache).
 
-Same three layers as test_analysis.py:
+Two layers, as in test_analysis.py:
 
 - exact per-rule findings over the contract fixtures in
   ``tests/analysis_fixtures/``;
-- drift demonstrations against the *real* kernels.c / accel.py pair:
-  a reordered enum, a dropped pointer-table slot, and a changed
-  #define must each produce the corresponding NATIVE finding, while
-  the unmutated pair stays clean;
 - meta-tests: the full tree (src, tests, benchmarks — fixtures
   excluded) exits 0, and the committed baseline is empty.
 """
@@ -17,7 +13,6 @@ Same three layers as test_analysis.py:
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,12 +29,7 @@ from repro.analysis import (
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "tests" / "analysis_fixtures"
-KERNELS_C = REPO / "src" / "repro" / "native" / "kernels.c"
-ACCEL_PY = REPO / "src" / "repro" / "native" / "accel.py"
 BASELINE = REPO / "analysis_baseline.json"
-
-NATIVE_RULES = ["NATIVE001", "NATIVE002", "NATIVE003"]
-
 
 def findings_for(path, **kwargs):
     return analyze([str(path)], **kwargs)
@@ -64,40 +54,6 @@ def run_cli(*args, cwd=REPO):
 # ----------------------------------------------------------------------
 # Fixture corpus: exact findings per rule
 # ----------------------------------------------------------------------
-def test_native_clean_mirror_has_no_findings():
-    assert findings_for(FIXTURES / "native_ok.py") == []
-
-
-def test_native001_fixture_exact_findings():
-    findings = findings_for(FIXTURES / "native001_reorder.py")
-    assert as_tuples(findings) == [("NATIVE001", 9), ("NATIVE001", 13)]
-    reordered, dropped = findings
-    assert "CFG_* mirror drifted" in reordered.message
-    assert "position 0 is 'CFG_NODES'" in reordered.message
-    assert "'CFG_PORTS' here" in reordered.message
-    assert "CTR_* mirror drifted" in dropped.message
-    assert "position 2 is 'CTR_DROPS'" in dropped.message
-
-
-def test_native002_fixture_exact_findings():
-    findings = findings_for(FIXTURES / "native002_slots.py")
-    assert as_tuples(findings) == [("NATIVE002", 9), ("NATIVE002", 14)]
-    table, arrays = findings
-    assert "PT_SLOT_NAMES drifted from the PT_* enum" in table.message
-    assert "position 1 is 'PT_QUEUE'" in table.message
-    assert "pointer table has 3 entries" in arrays.message
-    assert "declares 2 slots" in arrays.message
-
-
-def test_native003_fixture_exact_findings():
-    findings = findings_for(FIXTURES / "native003_defines.py")
-    assert as_tuples(findings) == [("NATIVE003", 9), ("NATIVE003", 10)]
-    drifted, stale = findings
-    assert "mirror of WIDGET_RING is 63" in drifted.message
-    assert "defines 64" in drifted.message
-    assert "c-mirror[NO_SUCH_DEFINE] names no #define" in stale.message
-
-
 def test_rng001_fixture_exact_findings():
     findings = findings_for(FIXTURES / "rng001_labels.py")
     assert as_tuples(findings) == [
@@ -164,80 +120,10 @@ def test_reg001_fixture_exact_findings():
 
 
 # ----------------------------------------------------------------------
-# Drift demonstrations against the real kernels.c / accel.py pair
-# ----------------------------------------------------------------------
-@pytest.fixture()
-def native_pair(tmp_path):
-    """Copy the real native module pair into a scratch directory."""
-    shutil.copy(KERNELS_C, tmp_path / "kernels.c")
-    shutil.copy(ACCEL_PY, tmp_path / "accel.py")
-    return tmp_path
-
-
-def _native_findings(pair_dir):
-    return analyze([str(pair_dir / "accel.py")], select=NATIVE_RULES)
-
-
-def test_real_native_pair_is_clean(native_pair):
-    assert _native_findings(native_pair) == []
-
-
-def test_native001_catches_reordered_enum_in_real_kernels(native_pair):
-    c_path = native_pair / "kernels.c"
-    text = c_path.read_text(encoding="utf-8")
-    mutated = text.replace("CFG_N = 0, CFG_P,", "CFG_P = 0, CFG_N,", 1)
-    assert mutated != text
-    c_path.write_text(mutated, encoding="utf-8")
-    findings = _native_findings(native_pair)
-    assert any(
-        f.rule == "NATIVE001" and "position 0 is 'CFG_P'" in f.message
-        for f in findings
-    ), findings
-
-
-def test_native002_catches_dropped_slot_in_real_kernels(native_pair):
-    c_path = native_pair / "kernels.c"
-    text = c_path.read_text(encoding="utf-8")
-    mutated = text.replace(" PT_RING_BIRTH,", "", 1)
-    assert mutated != text
-    c_path.write_text(mutated, encoding="utf-8")
-    findings = _native_findings(native_pair)
-    assert any(
-        f.rule == "NATIVE002" and "PT_RING_BIRTH" in f.message
-        for f in findings
-    ), findings
-
-
-def test_native003_catches_changed_define_in_real_kernels(native_pair):
-    c_path = native_pair / "kernels.c"
-    text = c_path.read_text(encoding="utf-8")
-    mutated = text.replace("#define MAX_PORTS 64", "#define MAX_PORTS 63", 1)
-    assert mutated != text
-    c_path.write_text(mutated, encoding="utf-8")
-    findings = _native_findings(native_pair)
-    assert any(
-        f.rule == "NATIVE003"
-        and "mirror of MAX_PORTS is 64" in f.message
-        and "defines 63" in f.message
-        for f in findings
-    ), findings
-
-
-def test_native001_catches_mirror_drift_in_real_accel(native_pair):
-    py_path = native_pair / "accel.py"
-    text = py_path.read_text(encoding="utf-8")
-    mutated = text.replace("    CFG_N, CFG_P,", "    CFG_P, CFG_N,", 1)
-    assert mutated != text
-    py_path.write_text(mutated, encoding="utf-8")
-    findings = _native_findings(native_pair)
-    assert any(f.rule == "NATIVE001" for f in findings), findings
-
-
-# ----------------------------------------------------------------------
 # SARIF output
 # ----------------------------------------------------------------------
 def test_sarif_document_shape():
-    findings = findings_for(FIXTURES / "native003_defines.py")
+    findings = findings_for(FIXTURES / "rng001_labels.py")
     document = sarif_document(findings, ALL_RULES)
     assert document["version"] == "2.1.0"
     assert document["$schema"].endswith("sarif-schema-2.1.0.json")
@@ -397,29 +283,6 @@ def test_exclude_does_not_apply_to_explicit_paths():
         "--exclude", "tests/analysis_fixtures/*",
     )
     assert proc.returncode == 1
-
-
-def test_accel_slot_table_matches_arrays_literal():
-    """PT_SLOT_NAMES and the arrays list in accel.py agree on arity."""
-    import ast as ast_mod
-
-    tree = ast_mod.parse(ACCEL_PY.read_text(encoding="utf-8"))
-    slot_names = arrays_len = None
-    for node in ast_mod.walk(tree):
-        if isinstance(node, ast_mod.Assign):
-            for target in node.targets:
-                if isinstance(target, ast_mod.Name):
-                    if target.id == "PT_SLOT_NAMES":
-                        slot_names = [
-                            elt.value for elt in node.value.elts
-                        ]
-                    elif target.id == "arrays" and isinstance(
-                        node.value, ast_mod.List
-                    ):
-                        arrays_len = len(node.value.elts)
-    assert slot_names is not None and arrays_len is not None
-    assert len(slot_names) == arrays_len
-    assert all(name.startswith("PT_") for name in slot_names)
 
 
 if __name__ == "__main__":

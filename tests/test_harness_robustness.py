@@ -9,6 +9,7 @@ skip on platforms where workers are spawned fresh.
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -77,6 +78,29 @@ class TestWorkerDeath:
         cache = ResultCache(tmp_path)
         assert cache.get(specs[0]) is None
         assert cache.get(specs[1]) is not None
+
+
+    @needs_fork
+    def test_worker_death_during_submission(self, monkeypatch, tmp_path):
+        """A worker that dies while jobs are still being submitted must
+        not abort the sweep: the unsubmitted jobs are retried too."""
+        monkeypatch.setattr("repro.harness.executor.run_job", _crash_or_run)
+        real_submit = ProcessPoolExecutor.submit
+
+        def slow_submit(pool, *args, **kwargs):
+            time.sleep(0.5)  # the crash lands before the next submit
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", slow_submit)
+        specs = [small_spec(seed=s) for s in (CRASH_SEED, 2, 3)]
+        report = run_jobs(specs, jobs=2, cache=tmp_path)
+        assert len(report.records) == len(specs)
+        assert "WorkerDeath" in report.records[0].error
+        assert [r.ok for r in report.records[1:]] == [True, True]
+        cache = ResultCache(tmp_path)
+        assert cache.get(specs[0]) is None
+        for spec in specs[1:]:
+            assert cache.get(spec) is not None
 
 
 class TestJobTimeout:

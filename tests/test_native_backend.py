@@ -1,22 +1,30 @@
-"""Compiled hot-path backend: equivalence, gating, and allocation tests.
+"""Compiled hot-path backend: equivalence, gating, ABI and allocation tests.
 
 The native backend (``SimulationConfig.backend = "native"``) must be a
 pure accelerator: every supported configuration produces results
 bit-identical to the numpy engine, and every unsupported configuration
-refuses loudly at construction instead of silently diverging.  The
-allocation tests pin the PR's zero-allocation claim: after warm-up, the
-network phase performs no new numpy array allocations.
+refuses loudly at construction instead of silently diverging.  The ABI
+tests edit a copy of ``kernels.c`` and check that layout drift fails at
+load or construction.  The allocation tests pin the zero-allocation
+claim: after warm-up, the network phase performs no new numpy array
+allocations.
 """
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
 from repro.guardrails.faults import FaultConfig
-from repro.native import NativeUnsupported, native_available
+from repro.native import (
+    NativeAbiError,
+    NativeUnsupported,
+    build,
+    native_available,
+)
 from repro.sim.simulator import Simulator
 from repro.traffic.workloads import make_category_workload
 
@@ -97,6 +105,103 @@ def test_unsupported_configs_refuse(kwargs):
     config = SimulationConfig(workload, seed=1, backend="native", **kwargs)
     with pytest.raises(NativeUnsupported):
         Simulator(config)
+
+
+# ----------------------------------------------------------------------
+# ABI drift: kernels.c is the only place the layout is written down
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def edit_kernels(tmp_path, monkeypatch):
+    """Point the loader at an edited copy of kernels.c.
+
+    Returns ``edit(*(old, new))``, which writes the copy with each
+    replacement applied once; the next load compiles that copy.
+    """
+    original = Path(build._SRC).read_text(encoding="utf-8")
+    copy = tmp_path / "kernels.c"
+    monkeypatch.setattr(build, "_SRC", str(copy))
+    monkeypatch.setattr(build, "_BUILD_DIR", str(tmp_path / "_build"))
+    monkeypatch.setattr(build, "_lib", None)
+
+    def edit(*replacements):
+        text = original
+        for old, new in replacements:
+            assert old in text, old
+            text = text.replace(old, new, 1)
+        copy.write_text(text, encoding="utf-8")
+
+    return edit
+
+
+def _native_simulator():
+    workload = make_category_workload("H", 16, np.random.default_rng(1))
+    return Simulator(
+        SimulationConfig(workload, seed=1, epoch=200, backend="native")
+    )
+
+
+@needs_native
+def test_real_kernels_abi_matches_python():
+    """The shipped kernels.c passes the load and construction checks,
+    and every slot enum is dense from 0."""
+    abi = build.load_library().abi
+    for prefix in ("PT_", "CFG_", "CTR_"):
+        indices = sorted(v for k, v in abi.items() if k.startswith(prefix))
+        assert indices == list(range(len(indices))), prefix
+    accel = _native_simulator()._accel
+    assert len(accel._arrays) == sum(k.startswith("PT_") for k in abi)
+
+
+@needs_native
+def test_changed_define_fails_at_load(edit_kernels):
+    edit_kernels(("#define SRC_SHIFT 14", "#define SRC_SHIFT 15"))
+    with pytest.raises(
+        NativeAbiError,
+        match=r"flit\._SRC_SHIFT = 14 but kernels\.c defines SRC_SHIFT = 15",
+    ):
+        build.load_library()
+    # drift is a failure, never a quiet "backend unavailable" skip
+    with pytest.raises(NativeAbiError):
+        native_available()
+
+
+@needs_native
+def test_dropped_pt_slot_fails_at_construction(edit_kernels):
+    # As if C had stopped using the slot: the name survives only as an
+    # alias, so the kernels still compile.
+    edit_kernels(
+        ("X(PT_RING_META) X(PT_RING_BIRTH)", "X(PT_RING_META)"),
+        ("#define ENUM_MEMBER", "#define PT_RING_BIRTH PT_RING_META\n"
+                                "#define ENUM_MEMBER"),
+    )
+    with pytest.raises(
+        NativeAbiError, match=r"not declared by kernels\.c: \['PT_RING_BIRTH'\]"
+    ):
+        _native_simulator()
+
+
+@needs_native
+def test_unfilled_cfg_slot_fails_at_construction(edit_kernels):
+    edit_kernels(("X(CFG_REQ_FLITS)", "X(CFG_REQ_FLITS) X(CFG_EXTRA)"))
+    with pytest.raises(
+        NativeAbiError, match=r"not filled by accel\.py: \['CFG_EXTRA'\]"
+    ):
+        _native_simulator()
+
+
+@needs_native
+def test_reordered_enum_is_placed_by_name(edit_kernels):
+    """Slots resolve by name, so reordering a C enum is not drift."""
+    edit_kernels(
+        ("X(CFG_N) X(CFG_P)", "X(CFG_P) X(CFG_N)"),
+        ("X(CTR_CURSOR) X(CTR_SPOS)", "X(CTR_SPOS) X(CTR_CURSOR)"),
+        ("X(PT_RING_META) X(PT_RING_BIRTH)", "X(PT_RING_BIRTH) X(PT_RING_META)"),
+    )
+    assert build.load_library().abi["CFG_P"] == 0
+    kwargs = dict(network="bless", cycles=400)
+    assert _canon(_run(backend="numpy", **kwargs)) == _canon(
+        _run(backend="native", **kwargs)
+    )
 
 
 def _warm_simulator(network, backend):
