@@ -9,11 +9,14 @@ The buffered baseline routes XY, which cannot steer around a dead link:
 flits whose path crosses one wedge in their buffers, so its throughput
 collapses much faster.
 
-Every run in the sweep executes with the invariant checker enabled and
-goes through :func:`run_workload_safe`, so a diverging configuration
-degrades the sweep to a partial result instead of crashing it.  A
-second experiment measures the checker's runtime overhead against the
-acceptance budget (<= 25% slowdown).
+Every run in the sweep executes with the invariant checker enabled.  A
+guardrail abort marks its point "diverged" and the report names the
+error, so a diverging configuration degrades the sweep to a partial
+result instead of crashing it — and is never rerun as a different
+experiment.  (The points carry a live ``FaultConfig``, which a
+:class:`~repro.harness.JobSpec` cannot, so they run inline rather than
+through ``run_jobs``.)  A second experiment measures the checker's
+runtime overhead against the acceptance budget (<= 25% slowdown).
 """
 
 import functools
@@ -24,10 +27,9 @@ from repro.experiments import (
     format_table,
     paper_vs_measured,
     run_workload,
-    run_workload_safe,
     scaled_cycles,
 )
-from repro.guardrails import FaultConfig
+from repro.guardrails import FaultConfig, GuardrailError
 from repro.rng import child_rng
 from repro.traffic.workloads import make_workload_batch
 
@@ -52,23 +54,26 @@ def _default_workload():
 
 
 def _sweep(network: str, cycles: int):
-    rows = []
+    rows, errors = [], []
     for rate in FAULT_RATES:
         faults = FaultConfig(link_fault_rate=rate, seed=17) if rate else None
-        res = run_workload_safe(
-            _workload(), cycles, epoch=1000, seed=70,
-            retries=1, backoff=0.0, timeout_s=300.0,
-            network=network, check_invariants=True, faults=faults,
-        )
-        if res is None:
+        try:
+            res = run_workload(
+                _workload(), cycles, epoch=1000, seed=70, deadline=300.0,
+                network=network, check_invariants=True, faults=faults,
+            )
+        except GuardrailError as error:
             rows.append((rate, None, None, None))
+            errors.append(
+                f"{network} @ {rate:.3f}: {type(error).__name__}: {error}"
+            )
             continue
         assert res.flit_conservation_ok, (
             f"{network} at fault rate {rate}: flit accounting broken"
         )
         failed = res.guardrails.failed_links if res.guardrails else 0
         rows.append((rate, res.system_throughput, res.deflection_rate, failed))
-    return rows
+    return rows, errors
 
 
 def test_fault_tolerance_sweep(benchmark, report):
@@ -79,7 +84,9 @@ def test_fault_tolerance_sweep(benchmark, report):
         cycles = scaled_cycles(4000)
         return _sweep("bless", cycles), _sweep("buffered", cycles)
 
-    bless_rows, buffered_rows = once(benchmark, run)
+    (bless_rows, bless_errors), (buffered_rows, buffered_errors) = once(
+        benchmark, run
+    )
 
     bless_tp = [r[1] for r in bless_rows]
     ok_complete = all(tp is not None for tp in bless_tp)
@@ -125,6 +132,9 @@ def test_fault_tolerance_sweep(benchmark, report):
             ["fault rate", "failed links", "bless tput", "bless deflect",
              "buffered tput"],
             table,
+        )
+        + "".join(
+            f"\ndiverged: {line}" for line in bless_errors + buffered_errors
         ),
     )
     assert ok_complete and ok_monotone and ok_alive and ok_buffered

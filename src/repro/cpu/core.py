@@ -158,10 +158,10 @@ class CoreArray:
     def _issue_misses(self, nodes: np.ndarray, cycle: int) -> None:
         """Issue one L1-miss request per node in *nodes*.
 
-        Shared tail of :meth:`step`: also called by the native backend
-        (which computes the misser set in C but must draw destinations
-        and gaps from the same RNG streams, in the same order, as the
-        pure-numpy path).
+        The tail of :meth:`step`.  The native backend's C port
+        (``kernels.c``: ``sample_destinations``, ``issue_misses``) draws
+        the destinations, then the accepted nodes' gaps, from the same
+        generator in this order.
         """
         dest = self.locality.sample(nodes, self.rng)
         seq = (self._issued[nodes] % SEQ_RING).astype(np.int64)

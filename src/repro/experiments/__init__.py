@@ -11,7 +11,6 @@ from repro.experiments.runner import (
     compare_controllers,
     default_mechanism,
     run_workload,
-    run_workload_safe,
     scaled_cycles,
     workload_alone_ipc,
 )
@@ -26,7 +25,6 @@ from repro.experiments.tables import format_table, paper_vs_measured
 
 __all__ = [
     "run_workload",
-    "run_workload_safe",
     "compare_controllers",
     "default_mechanism",
     "alone_ipc",

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import os
-import time
-import warnings
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -12,8 +10,6 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.control.base import Controller, NoController
 from repro.control.central import CentralController, ControlParams
-from repro.guardrails.errors import GuardrailError
-from repro.rng import child_rng
 from repro.sim.simulator import Simulator
 from repro.sim.results import SimulationResult
 from repro.traffic.workloads import Workload
@@ -22,7 +18,6 @@ __all__ = [
     "bench_scale",
     "scaled_cycles",
     "run_workload",
-    "run_workload_safe",
     "compare_controllers",
     "alone_ipc",
 ]
@@ -66,72 +61,6 @@ def run_workload(
         **config_kw,
     )
     return Simulator(cfg).run(cycles, deadline=deadline)
-
-
-def run_workload_safe(
-    workload: Workload,
-    cycles: int,
-    controller: Optional[Controller] = None,
-    *,
-    retries: int = 1,
-    backoff: float = 0.2,
-    timeout_s: Optional[float] = None,
-    epoch: int = 1000,
-    seed: int = 1,
-    warn: bool = True,
-    _runner=None,
-    _sleep=None,
-    **config_kw,
-) -> Optional[SimulationResult]:
-    """:func:`run_workload` that degrades instead of aborting a sweep.
-
-    A guardrail abort (invariant violation, watchdog trip, wall-clock
-    timeout) is retried up to ``retries`` times with exponential backoff
-    and a fresh seed each attempt (the simulator is deterministic, so
-    retrying the *same* seed would fail identically).  Each backoff is
-    jittered by a factor in ``[0.5, 1.5)`` drawn from a seeded
-    :func:`~repro.rng.child_rng` substream, so a fleet of workers
-    retrying the same transient condition (an overloaded filesystem, a
-    shared license server) fans out instead of stampeding in lockstep —
-    while staying reproducible per seed.  When every attempt fails the
-    function emits a :class:`RuntimeWarning` and returns ``None`` so the
-    caller records a partial sweep result rather than crashing the whole
-    benchmark harness.
-
-    ``_runner`` and ``_sleep`` are injection points for tests; they must
-    accept the signatures of :func:`run_workload` and
-    :func:`time.sleep` respectively.
-    """
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    runner = run_workload if _runner is None else _runner
-    sleep = time.sleep if _sleep is None else _sleep
-    jitter_rng = child_rng(seed, "retry-backoff")
-    last_error: Optional[GuardrailError] = None
-    for attempt in range(retries + 1):
-        try:
-            return runner(
-                workload,
-                cycles,
-                controller,
-                epoch=epoch,
-                seed=seed + attempt,
-                deadline=timeout_s,
-                **config_kw,
-            )
-        except GuardrailError as error:
-            last_error = error
-            if attempt < retries and backoff > 0:
-                jitter = 0.5 + jitter_rng.random()
-                sleep(backoff * (2**attempt) * jitter)
-    if warn:
-        warnings.warn(
-            f"workload {workload.category or 'custom'} abandoned after "
-            f"{retries + 1} attempt(s); last failure: {last_error}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return None
 
 
 def default_mechanism(epoch: int) -> CentralController:

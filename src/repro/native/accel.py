@@ -1,10 +1,13 @@
 """ctypes bridge between the simulator and the compiled kernels.
 
-:class:`NativeAccel` gathers the simulator's numpy buffers into a
-pointer table and drives the four hot phases through the compiled entry
-points.  The kernels mutate the *same* arrays Python owns, so every live
-view (queues, buffers, per-node stats arrays, core state) stays coherent
-without copies; only Python-scalar statistics need a mirror flush.
+:class:`NativeAccel` gathers the simulator's numpy buffers and the
+``bitgen_t`` states of its three per-cycle random generators into a
+pointer table, and runs whole segments of cycles — behavior, cores,
+memory, network, ejection — in one ``noc_run`` call.  The kernels mutate
+the *same* arrays and generator states Python owns, so every live view
+(queues, buffers, per-node stats arrays, core state, the ``Generator``
+objects) stays coherent without copies; only Python-scalar statistics
+need a mirror flush.
 
 The pointer table, ``cfg`` and ``ctr`` are filled by slot *name*; each
 entry lands at the index the ``kernels.c`` ABI table gives it, and a
@@ -23,7 +26,6 @@ import ctypes
 import numpy as np
 
 from repro.network.base import EjectedFlits
-from repro.network.engine import _KEY_MAX
 from repro.network.flit import SEQ_RING
 from repro.native.build import NativeAbiError, NativeBuildError, load_library
 
@@ -32,6 +34,20 @@ __all__ = ["NativeAccel", "NativeUnsupported"]
 #: Arbitration policy -> ``cfg[CFG_ARB]`` code (the C ``ARB_*`` values,
 #: checked at load).
 _ARB_CODES = {"oldest_first": 0, "youngest_first": 1, "random": 2}
+
+#: Built-in locality model -> ``cfg[CFG_LOC_KIND]`` code (the C
+#: ``LOC_*`` values, checked at load).
+_LOC_CODES = {"uniform": 0, "exponential": 1, "powerlaw": 2}
+
+#: PhaseTimer phase -> the ``ctr`` slot ``noc_run`` sums its
+#: nanoseconds into when profiling.
+_PHASE_NS = {
+    "behavior": "CTR_NS_BEHAVIOR",
+    "cores": "CTR_NS_CORES",
+    "memory": "CTR_NS_MEMORY",
+    "network": "CTR_NS_NETWORK",
+    "ejection": "CTR_NS_EJECTION",
+}
 
 #: Messages for the ``ctr[CTR_ERROR]`` codes, by ``ERR_*`` name.
 _ERRORS = {
@@ -79,8 +95,16 @@ def _check(condition: bool, why: str) -> None:
         raise NativeUnsupported(f"native backend: {why}")
 
 
+def _address(entry) -> int:
+    """Pointer-table value: an array's data or a generator's bitgen_t."""
+    if isinstance(entry, np.random.Generator):
+        return entry.bit_generator.ctypes.bit_generator.value
+    assert entry.flags["C_CONTIGUOUS"], "pointer-table arrays must be contiguous"
+    return entry.ctypes.data
+
+
 class NativeAccel:
-    """Compiled drop-in for the behavior-independent simulator phases."""
+    """Compiled drop-in for the simulator's per-cycle phases."""
 
     def __init__(self, sim):
         config = sim.config
@@ -100,6 +124,9 @@ class NativeAccel:
                "reference-side intermediate state")
         _check(net._p0_flat is not None,
                "topology too large for precomputed route tables")
+        _check(isinstance(config.locality, str),
+               f"custom locality {config.locality!r} has no C sampler "
+               f"(only {', '.join(_LOC_CODES)} do)")
         n, p = net.num_nodes, net.num_ports
         try:
             self._lib = load_library()
@@ -110,12 +137,12 @@ class NativeAccel:
         abi = self._lib.abi
         _check(p + 1 <= abi["MAX_PORTS"] - 1, "router has too many ports")
 
-        self._sim = sim
         self._cores = cores
         self._buffered = config.network == "buffered"
         arb = _ARB_CODES[net.arbitration]
-        self._arb_random = arb == _ARB_CODES["random"]
-        self._rng = net._rng
+        behavior = sim.behavior
+        locality = sim.locality
+        self._timer = sim.phase_timer
 
         eject_width = net.eject_width if not self._buffered else 1
         ej_cap = n * eject_width
@@ -170,18 +197,22 @@ class NativeAccel:
             "PT_SCR_S": (2 * pend_cap, i64),
             "PT_SCR_R": (2 * pend_cap, i64),
             "PT_SCR_Q": (2 * pend_cap, i64),
+            # per-cycle draw scratch: expired phase timers, locality
+            # distances, axis splits and signs
+            "PT_EXPIRED": (n, i64),
+            "PT_DRAW_D": (n, i64),
+            "PT_DRAW_A": (n, i64),
+            "PT_DRAW_SX": (n, i64),
+            "PT_DRAW_SY": (n, i64),
         }
         owned = {
             name: np.zeros(shape, dtype=dtype)
             for name, (shape, dtype) in shapes.items()
         }
-        self._key_grid = owned["PT_H_KEY" if self._buffered else "PT_G_KEY"]
         self._ejected = tuple(
             owned[f"PT_EJ_{field}"]
             for field in ("NODE", "SRC", "KIND", "SEQ", "CBIT")
         )
-        self._miss_out = owned["PT_MISS_OUT"]
-        self._issue_dest = owned["PT_ISSUE_DEST"]
 
         dummy64 = np.zeros(1, dtype=i64)
         dummy32 = np.zeros(1, dtype=np.int32)
@@ -196,13 +227,69 @@ class NativeAccel:
             buf_head = buf_count = reserved = dummy32
             buf_cap = 0
 
+        # Locality tables: the 2D-grid coordinates, or the graph
+        # sampler's per-source distance buckets; uniform needs neither.
+        loc = dict(
+            PT_LOC_X=dummy32, PT_LOC_Y=dummy32, PT_LOC_ORDER=dummy32,
+            PT_LOC_START=dummy64, PT_LOC_COUNT=dummy64, PT_LOC_ECC=dummy64,
+        )
+        loc_cfg = dict(
+            CFG_LOC_KIND=_LOC_CODES[config.locality], CFG_LOC_GRID=0,
+            CFG_WIDTH=0, CFG_HEIGHT=0, CFG_WRAPS=0, CFG_MAX_DIST=0,
+            CFG_LOC_BUCKETS=0,
+        )
+        loc_param = 0.0
+        if config.locality != "uniform":
+            loc_param = float(
+                locality.mean_distance
+                if config.locality == "exponential"
+                else locality.alpha
+            )
+            if locality._grid2d:
+                topo = locality.topology
+                loc.update(PT_LOC_X=topo.coord_x, PT_LOC_Y=topo.coord_y)
+                loc_cfg.update(
+                    CFG_LOC_GRID=1, CFG_WIDTH=topo.width,
+                    CFG_HEIGHT=topo.height, CFG_WRAPS=int(topo.wraps),
+                    CFG_MAX_DIST=locality._max_dist,
+                )
+            else:
+                loc.update(
+                    PT_LOC_ORDER=locality._order,
+                    PT_LOC_START=locality._bucket_start,
+                    PT_LOC_COUNT=locality._bucket_count,
+                    PT_LOC_ECC=locality._ecc,
+                )
+                loc_cfg.update(
+                    CFG_LOC_BUCKETS=locality._bucket_count.shape[1]
+                )
+        sigma = float(behavior.phase_sigma)
+        fcfg = np.array(_place(abi, "FCFG_", {
+            "FCFG_LOC_PARAM": loc_param,
+            # the exact scalars ApplicationBehaviorArray.tick passes
+            "FCFG_PHASE_MU": -sigma * sigma / 2.0,
+            "FCFG_PHASE_SIGMA": sigma,
+            "FCFG_PHASE_P": 1.0 / behavior.phase_length,
+            "FCFG_FLITS_PER_MISS": float(behavior.flits_per_miss),
+        }), dtype=np.float64)
+
         req, resp = net.request_queue, net.response_queue
         meter, gate = net.starvation, net.throttle
         stats = net.stats
         queue_fields = ("dest", "kind", "flits", "stamp", "seq", "head",
                         "count")
-        pt_arrays = _place(abi, "PT_", {
+        pt_entries = _place(abi, "PT_", {
             **owned,
+            **loc,
+            "PT_FCFG": fcfg,
+            # the simulator's generators, advanced in place by the C draws
+            "PT_RNG_DEST": cores.rng,
+            "PT_RNG_PHASE": sim._rng_phase,
+            "PT_RNG_ARB": net._rng,
+            "PT_BH_MU": behavior._mu,
+            "PT_BH_SIGMA": behavior._sigma,
+            "PT_BH_MULT": behavior._phase_mult,
+            "PT_BH_TIMER": behavior._phase_timer,
             **{f"PT_REQ_{f.upper()}": getattr(req, f) for f in queue_fields},
             **{f"PT_RESP_{f.upper()}": getattr(resp, f) for f in queue_fields},
             "PT_RING_META": net._ring_meta,
@@ -243,11 +330,9 @@ class NativeAccel:
             "PT_CO_MISSES": cores.misses_issued,
             "PT_CO_EPOCH_FLITS": cores.epoch_flits,
         })
-        for a in pt_arrays:
-            assert a.flags["C_CONTIGUOUS"], "pointer-table arrays must be contiguous"
-        self._arrays = pt_arrays  # keep the buffers alive
-        self._pt = (ctypes.c_void_p * len(pt_arrays))(
-            *[a.ctypes.data for a in pt_arrays]
+        self._arrays = pt_entries  # keep the buffers and generators alive
+        self._pt = (ctypes.c_void_p * len(pt_entries))(
+            *[_address(entry) for entry in pt_entries]
         )
 
         cfg = np.array(_place(abi, "CFG_", {
@@ -266,8 +351,13 @@ class NativeAccel:
             "CFG_EJ_CAP": ej_cap,
             "CFG_PEND_CAP": pend_cap,
             "CFG_BUF_CAP": buf_cap,
-            "CFG_SLOT_COUNT": len(pt_arrays),
+            "CFG_SLOT_COUNT": len(pt_entries),
             "CFG_REQ_FLITS": cores.request_flits,
+            "CFG_BUFFERED": int(self._buffered),
+            **loc_cfg,
+            # Host-time attribution only: noc_run's clock reads never
+            # feed simulated state.
+            "CFG_PROFILE": int(self._timer is not None),
         }), dtype=np.int64)
         self._cfg = cfg
 
@@ -298,9 +388,9 @@ class NativeAccel:
         counters.update(
             CTR_HEAD_DIRTY=int(cores._head_dirty),
             CTR_MEM_CURSOR=memory._cursor,
-            # C-side scratch counters
-            CTR_MISS_CNT=0, CTR_PEND_CNT=0, CTR_EJ_COUNT=0, CTR_ERROR=0,
-            CTR_ACCEPTED=0,
+            # C-side scratch counters and phase timers
+            CTR_PEND_CNT=0, CTR_EJ_COUNT=0, CTR_ERROR=0,
+            **{slot: 0 for slot in _PHASE_NS.values()},
         )
         ctr = np.array(_place(abi, "CTR_", counters), dtype=np.int64)
         self._ctr = ctr
@@ -310,8 +400,9 @@ class NativeAccel:
             (obj, attr, ctr_slot[name]) for obj, attr, name in mirrored
         )
         self._i_head_dirty = ctr_slot["CTR_HEAD_DIRTY"]
-        self._i_miss_cnt = ctr_slot["CTR_MISS_CNT"]
-        self._i_accepted = ctr_slot["CTR_ACCEPTED"]
+        self._phase_ns = tuple(
+            (phase, ctr_slot[slot]) for phase, slot in _PHASE_NS.items()
+        )
         self._i_ej_count = ctr_slot["CTR_EJ_COUNT"]
         self._i_error = ctr_slot["CTR_ERROR"]
         self._errors = {abi[name]: why for name, why in _ERRORS.items()}
@@ -319,13 +410,9 @@ class NativeAccel:
         ll = ctypes.POINTER(ctypes.c_longlong)
         self._cfg_p = cfg.ctypes.data_as(ll)
         self._ctr_p = ctr.ctypes.data_as(ll)
-        self._net_kernel = (
-            self._lib.noc_credit if self._buffered else self._lib.noc_bless
-        )
-        self._empty_ejected = EjectedFlits.empty()
         # The scalar-stats mirror flush is deferred to epoch boundaries
         # and result() unless a per-cycle observer (the watchdog) reads
-        # the stats object between network steps.
+        # the stats object after every cycle.
         self._eager_flush = sim.watchdog is not None
 
     # ------------------------------------------------------------------
@@ -340,62 +427,29 @@ class NativeAccel:
         """Mirror the C counters back onto the Python stat objects.
 
         Array state needs no flushing (the kernels mutate the arrays
-        Python owns); this covers the Python *scalars* only.  Called at
-        epoch boundaries and before result() — and per network step
-        when a watchdog observes the stats every cycle.
+        Python owns); this covers the Python *scalars* only, plus the
+        phase nanoseconds a profiled run moves into the PhaseTimer.
+        Called at epoch boundaries and before result() — and after every
+        segment when a watchdog observes the stats every cycle.
         """
         values = self._ctr.tolist()
         for obj, attr, i in self._mirrored:
             setattr(obj, attr, values[i])
         self._cores._head_dirty = bool(values[self._i_head_dirty])
+        if self._timer is not None:
+            for phase, i in self._phase_ns:
+                self._timer.seconds[phase] += values[i] * 1e-9
+                self._ctr[i] = 0
 
-    # ------------------------------------------------------------------
-    # Phase drivers (called by the Simulator's native pipeline)
-    # ------------------------------------------------------------------
-    def cores_phase(self, cycle: int) -> None:
-        self._lib.noc_cores(self._pt, self._cfg_p, self._ctr_p, cycle)
-        self._check_error()
-        k = int(self._ctr[self._i_miss_cnt])
-        if k:
-            # The reference miss tail, split around its RNG draws: the
-            # destinations and next gaps come from the same streams, in
-            # the same order, as CoreArray._issue_misses; the queue
-            # pushes and per-miss bookkeeping in between run in C.
-            cores = self._cores
-            self._issue_dest[:k] = cores.locality.sample(
-                self._miss_out[:k], cores.rng
-            )
-            self._lib.noc_issue(self._pt, self._cfg_p, self._ctr_p, cycle)
-            m = int(self._ctr[self._i_accepted])
-            if m:
-                accepted = self._miss_out[:m]
-                cores._insns_until_miss[accepted] = (
-                    cores.behavior.sample_gap(accepted, cores.rng)
-                )
-
-    def memory_phase(self, cycle: int) -> None:
-        self._lib.noc_memory(self._pt, self._cfg_p, self._ctr_p, cycle)
-        self._check_error()
-
-    def network_phase(self, cycle: int) -> EjectedFlits:
-        if self._arb_random:
-            # Same draw (size, dtype, bounds) as RandomArbitration, so
-            # the RNG stream matches the reference bit for bit.
-            self._key_grid[...] = self._rng.integers(
-                0, _KEY_MAX, size=self._key_grid.shape, dtype=np.int64
-            )
-        self._net_kernel(self._pt, self._cfg_p, self._ctr_p, cycle)
+    def run(self, cycle: int, ncycles: int) -> None:
+        """Simulate cycles ``[cycle, cycle + ncycles)`` in one C call."""
+        self._lib.noc_run(self._pt, self._cfg_p, self._ctr_p, cycle, ncycles)
         self._check_error()
         if self._eager_flush:
             self.flush()
-        if not self._sim._observe:
-            # Ejection consumers run in C (noc_eject); the batch only
-            # needs Python-side wrapping for an observing controller.
-            return self._empty_ejected
+
+    def ejected(self) -> EjectedFlits:
+        """The flits delivered in the last simulated cycle (views)."""
         k = int(self._ctr[self._i_ej_count])
         node, src, kind, seq, cbit = self._ejected
         return EjectedFlits(node[:k], src[:k], kind[:k], seq[:k], cbit[:k])
-
-    def ejection_phase(self, cycle: int) -> None:
-        self._lib.noc_eject(self._pt, self._cfg_p, self._ctr_p, cycle)
-        self._check_error()

@@ -7,6 +7,14 @@ kernels invalidates stale objects, and the compile is atomic (build to a
 temp file, ``os.replace`` into place) so concurrent processes never load
 a half-written library.
 
+The kernels draw their random numbers through numpy's own distribution
+code: they include numpy's ``bitgen.h`` and link the static
+``libnpyrandom.a`` numpy ships, so they advance the simulator's
+``Generator`` objects exactly as the Python calls would.  The artifact
+tag therefore also hashes the numpy version, the bytes of that library
+and the compile flags: a numpy upgrade rebuilds rather than reusing a
+library whose distributions may no longer match the Python side.
+
 ``kernels.c`` is the single source of truth for the C ABI: it exports a
 name→value table (``noc_abi``) of every pointer-table, cfg and ctr slot
 and every ``#define`` the Python model restates.  The loader reads that
@@ -23,6 +31,8 @@ import os
 import shutil
 import subprocess
 import tempfile
+
+import numpy as np
 
 __all__ = [
     "NativeAbiError", "NativeBuildError", "load_library", "native_available",
@@ -44,11 +54,14 @@ class NativeAbiError(NativeBuildError):
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
 _BUILD_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_build")
 
-#: Entry points exported by kernels.c; all share the same ABI.
-KERNELS = (
-    "noc_cores", "noc_issue", "noc_memory", "noc_bless", "noc_credit",
-    "noc_eject",
-)
+#: numpy's C random API: ``numpy/random/bitgen.h`` under the include
+#: dir and ``libnpyrandom.a`` in the lib dir.
+_NPY_INCLUDE = np.get_include()
+_NPY_LIB_DIR = os.path.join(os.path.dirname(np.random.__file__), "lib")
+
+#: ``-ffp-contract=off`` keeps the compiler from fusing a multiply and
+#: an add into one FMA, which would round differently from numpy.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _lib = None
 
@@ -59,6 +72,19 @@ def _find_compiler():
         if cc and shutil.which(cc):
             return cc
     return None
+
+
+def _npyrandom_lib() -> str:
+    """Path of ``libnpyrandom.a``, checking ``bitgen.h`` is there too."""
+    header = os.path.join(_NPY_INCLUDE, "numpy", "random", "bitgen.h")
+    lib = os.path.join(_NPY_LIB_DIR, "libnpyrandom.a")
+    missing = [path for path in (header, lib) if not os.path.isfile(path)]
+    if missing:
+        raise NativeBuildError(
+            f"numpy {np.__version__} does not ship its C random API here "
+            f"(missing {', '.join(missing)}); use backend='numpy' instead"
+        )
+    return lib
 
 
 def _compile(so_path: str) -> None:
@@ -73,7 +99,8 @@ def _compile(so_path: str) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SRC],
+            [cc, *_CFLAGS, "-I", _NPY_INCLUDE, "-o", tmp, _SRC,
+             "-L", _NPY_LIB_DIR, "-lnpyrandom", "-lm"],
             capture_output=True,
             text=True,
         )
@@ -96,8 +123,13 @@ def load_library():
     global _lib
     if _lib is not None:
         return _lib
-    with open(_SRC, "rb") as f:
-        tag = hashlib.sha256(f.read()).hexdigest()[:16]
+    digest = hashlib.sha256()
+    for path in (_SRC, _npyrandom_lib()):
+        with open(path, "rb") as f:
+            digest.update(f.read())
+    digest.update(np.__version__.encode())
+    digest.update(" ".join(_CFLAGS).encode())
+    tag = digest.hexdigest()[:16]
     so_path = os.path.join(_BUILD_DIR, f"kernels-{tag}.so")
     if not os.path.exists(so_path):
         _compile(so_path)
@@ -110,16 +142,14 @@ def load_library():
             lib = ctypes.CDLL(so_path)
         except OSError as exc2:
             raise NativeBuildError(f"loading {so_path} failed: {exc2}") from exc
-    argtypes = [
+    lib.noc_run.argtypes = [
         ctypes.POINTER(ctypes.c_void_p),
         ctypes.POINTER(ctypes.c_longlong),
         ctypes.POINTER(ctypes.c_longlong),
         ctypes.c_longlong,
+        ctypes.c_longlong,
     ]
-    for name in KERNELS:
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = None
+    lib.noc_run.restype = None
     lib.abi = _read_abi(lib)
     _check_python_mirrors(lib.abi)
     _lib = lib
@@ -141,7 +171,7 @@ def _read_abi(lib) -> dict:
 def _check_python_mirrors(abi: dict) -> None:
     """Raise :class:`NativeAbiError` naming every Python constant that
     differs from the ``kernels.c`` value it restates."""
-    from repro.native.accel import _ARB_CODES
+    from repro.native.accel import _ARB_CODES, _LOC_CODES
     from repro.network import engine, flit
     from repro.network.base import NetworkStats
     from repro.network.injection import InjectionThrottleGate
@@ -171,6 +201,11 @@ def _check_python_mirrors(abi: dict) -> None:
         (f"ARB_{policy.split('_')[0].upper()}",
          f"repro.native.accel._ARB_CODES[{policy!r}]", code)
         for policy, code in _ARB_CODES.items()
+    ]
+    mirrors += [
+        (f"LOC_{locality.upper()}",
+         f"repro.native.accel._LOC_CODES[{locality!r}]", code)
+        for locality, code in _LOC_CODES.items()
     ]
     drift = [
         f"{py_name} = {int(value)} but kernels.c "

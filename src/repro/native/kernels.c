@@ -4,25 +4,45 @@
  * function operates directly on the simulator's numpy buffers through a
  * pointer table, so Python-side views stay coherent without copies.
  *
- * BIT-IDENTITY CONTRACT: each kernel replicates the corresponding
+ * BIT-IDENTITY CONTRACT: each phase replicates the corresponding
  * pure-numpy phase exactly — same arbitration tie-breaks (numpy argmin /
  * argmax take the first occurrence; stable argsort keeps column order),
  * same order of floating-point operations, same statistics accumulation.
+ * Every random draw goes through numpy's own distribution code
+ * (libnpyrandom) on the simulator's own Generator states, in the
+ * reference's call order, so both backends advance the same streams.
  * Any semantic change here must keep tests/test_native_backend.py's
  * numpy-vs-native equivalence suite green.
  *
- * ABI: every entry point takes (void **pt, const long long *cfg,
- * long long *ctr, long long cycle).  `pt` is the pointer table (PT_*
- * slots below), `cfg` immutable configuration constants (CFG_*), `ctr`
- * mutable 64-bit counters (CTR_*) mirrored back onto the Python stats
- * objects.  This file is the only place the layout is written down:
- * noc_abi() exports every slot and every #define Python restates, and
- * the loader (build.py) checks the Python side against that table.
+ * ABI: the one simulation entry point is noc_run(void **pt, const long
+ * long *cfg, long long *ctr, long long cycle, long long ncycles), which
+ * runs behavior -> cores -> memory -> network -> ejection for ncycles
+ * cycles.  `pt` is the pointer table (PT_* slots below), `cfg`
+ * immutable configuration constants (CFG_*), `ctr` mutable 64-bit
+ * counters (CTR_*) mirrored back onto the Python stats objects.  This
+ * file is the only place the layout is written down: noc_abi() exports
+ * every slot and every #define Python restates, and the loader
+ * (build.py) checks the Python side against that table.
  */
 
+#include <stdbool.h>
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
+#include <time.h>
+
+#include "numpy/random/bitgen.h"
+
+/* numpy's distribution functions (numpy/random/lib/libnpyrandom.a),
+ * declared here because distributions.h pulls in Python.h. */
+double random_lognormal(bitgen_t *state, double mean, double sigma);
+int64_t random_geometric(bitgen_t *state, double p);
+double random_exponential(bitgen_t *state, double scale);
+double random_pareto(bitgen_t *state, double a);
+uint64_t random_bounded_uint64(bitgen_t *state, uint64_t off, uint64_t rng,
+                               uint64_t mask, bool use_masked);
+void random_bounded_uint64_fill(bitgen_t *state, uint64_t off, uint64_t rng,
+                                intptr_t cnt, bool use_masked, uint64_t *out);
 
 typedef long long i64;
 
@@ -58,6 +78,11 @@ typedef long long i64;
 #define ARB_YOUNGEST 1
 #define ARB_RANDOM 2
 
+/* cfg[CFG_LOC_KIND]: the built-in data-locality samplers */
+#define LOC_UNIFORM 0
+#define LOC_EXPONENTIAL 1
+#define LOC_POWERLAW 2
+
 /* Every #define above, exported by name through noc_abi(). */
 #define ABI_DEFINES(X)                                                  \
     X(NODE_MASK) X(SRC_SHIFT) X(KIND_SHIFT) X(CBIT) X(SEQ_SHIFT)        \
@@ -67,7 +92,8 @@ typedef long long i64;
     X(ERR_SLOT_MISMATCH) X(ERR_MEM_RING_OVERFLOW)                       \
     X(ERR_PENDING_OVERFLOW) X(ERR_EJECT_OVERFLOW)                       \
     X(ERR_TOO_MANY_PORTS)                                               \
-    X(ARB_OLDEST) X(ARB_YOUNGEST) X(ARB_RANDOM)
+    X(ARB_OLDEST) X(ARB_YOUNGEST) X(ARB_RANDOM)                         \
+    X(LOC_UNIFORM) X(LOC_EXPONENTIAL) X(LOC_POWERLAW)
 
 /* Pointer-table slots.  accel.py fills the table by these names, so
  * slots may be added, removed or reordered here alone (queue_take
@@ -97,14 +123,26 @@ typedef long long i64;
     X(PT_MEM_SRV) X(PT_MEM_REQ) X(PT_MEM_SEQ) X(PT_MEM_CNT)             \
     X(PT_PEND_S) X(PT_PEND_R) X(PT_PEND_Q) X(PT_SCR_S) X(PT_SCR_R)      \
     X(PT_SCR_Q)                                                         \
-    X(PT_CO_MISSES) X(PT_CO_EPOCH_FLITS) X(PT_ISSUE_DEST)
+    X(PT_CO_MISSES) X(PT_CO_EPOCH_FLITS) X(PT_ISSUE_DEST)               \
+    X(PT_RNG_DEST) X(PT_RNG_PHASE) X(PT_RNG_ARB) X(PT_FCFG)             \
+    X(PT_BH_MU) X(PT_BH_SIGMA) X(PT_BH_MULT) X(PT_BH_TIMER)             \
+    X(PT_EXPIRED) X(PT_DRAW_D) X(PT_DRAW_A) X(PT_DRAW_SX) X(PT_DRAW_SY) \
+    X(PT_LOC_X) X(PT_LOC_Y) X(PT_LOC_ORDER) X(PT_LOC_START)             \
+    X(PT_LOC_COUNT) X(PT_LOC_ECC)
 
 /* cfg slots */
 #define CFG_SLOTS(X)                                                    \
     X(CFG_N) X(CFG_P) X(CFG_DEPTH) X(CFG_EJECT_W) X(CFG_QCAP) X(CFG_SW) \
     X(CFG_ARB) X(CFG_ISSUE_W) X(CFG_WINDOW) X(CFG_MSHR)                 \
     X(CFG_REPLY_FLITS) X(CFG_L2_LAT) X(CFG_EJ_CAP) X(CFG_PEND_CAP)      \
-    X(CFG_BUF_CAP) X(CFG_SLOT_COUNT) X(CFG_REQ_FLITS)
+    X(CFG_BUF_CAP) X(CFG_SLOT_COUNT) X(CFG_REQ_FLITS) X(CFG_BUFFERED)   \
+    X(CFG_LOC_KIND) X(CFG_LOC_GRID) X(CFG_WIDTH) X(CFG_HEIGHT)          \
+    X(CFG_WRAPS) X(CFG_MAX_DIST) X(CFG_LOC_BUCKETS) X(CFG_PROFILE)
+
+/* float64 constants, in the PT_FCFG array */
+#define FCFG_SLOTS(X)                                                   \
+    X(FCFG_LOC_PARAM) X(FCFG_PHASE_MU) X(FCFG_PHASE_SIGMA)              \
+    X(FCFG_PHASE_P) X(FCFG_FLITS_PER_MISS)
 
 /* ctr slots */
 #define CTR_SLOTS(X)                                                    \
@@ -112,16 +150,19 @@ typedef long long i64;
     X(CTR_EJ_FLITS) X(CTR_HOPS) X(CTR_DEFL) X(CTR_BWRITES)              \
     X(CTR_BREADS) X(CTR_OCC) X(CTR_LAT_SUM) X(CTR_LAT_CNT)              \
     X(CTR_LAT_MAX) X(CTR_HOPS_SUM) X(CTR_INJLAT_SUM) X(CTR_INJLAT_CNT)  \
-    X(CTR_HEAD_DIRTY) X(CTR_MISS_CNT) X(CTR_MEM_CURSOR) X(CTR_PEND_CNT) \
+    X(CTR_HEAD_DIRTY) X(CTR_MEM_CURSOR) X(CTR_PEND_CNT)                 \
     X(CTR_REQ_SERVICED) X(CTR_REP_ISSUED) X(CTR_EJ_COUNT) X(CTR_ERROR)  \
-    X(CTR_ACCEPTED)
+    X(CTR_NS_BEHAVIOR) X(CTR_NS_CORES) X(CTR_NS_MEMORY)                 \
+    X(CTR_NS_NETWORK) X(CTR_NS_EJECTION)
 
 #define ENUM_MEMBER(name) name,
 enum { PT_SLOTS(ENUM_MEMBER) PT_NUM_SLOTS };
 enum { CFG_SLOTS(ENUM_MEMBER) CFG_NUM };
 enum { CTR_SLOTS(ENUM_MEMBER) CTR_NUM };
+enum { FCFG_SLOTS(ENUM_MEMBER) FCFG_NUM };
 
-#define ABI_ALL(X) PT_SLOTS(X) CFG_SLOTS(X) CTR_SLOTS(X) ABI_DEFINES(X)
+#define ABI_ALL(X)                                                      \
+    PT_SLOTS(X) CFG_SLOTS(X) CTR_SLOTS(X) FCFG_SLOTS(X) ABI_DEFINES(X)
 #define ABI_NAME(name) #name,
 #define ABI_VALUE(name) (i64)(name),
 static const char *const abi_names[] = { ABI_ALL(ABI_NAME) };
@@ -303,10 +344,8 @@ static void injection_stage(void **pt, const i64 *cfg, i64 *ctr, i64 cycle,
 /* ------------------------------------------------------------------ */
 /* FLIT-BLESS network step (DeflectFlowControl.step)                   */
 /* ------------------------------------------------------------------ */
-void noc_bless(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+static void bless_step(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    if (!check_abi(cfg, ctr))
-        return;
     i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
     i64 np = n * p;
     i64 *ring_meta = (i64 *)pt[PT_RING_META];
@@ -338,8 +377,7 @@ void noc_bless(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     ctr[CTR_CURSOR] = cur;
 
     /* Arbitration keys; KEY_MAX marks empty/consumed slots.  For
-     * ARB_RANDOM the key grid was prefilled by Python from the same RNG
-     * stream as the numpy path. */
+     * ARB_RANDOM the key grid was prefilled by network_step. */
     for (i64 i = 0; i < np; i++) {
         if (gbirth[i] < 0) {
             gkey[i] = KEY_MAX;
@@ -457,10 +495,8 @@ void noc_bless(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 /* ------------------------------------------------------------------ */
 /* Buffered XY network step (CreditFlowControl.step)                   */
 /* ------------------------------------------------------------------ */
-void noc_credit(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+static void credit_step(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    if (!check_abi(cfg, ctr))
-        return;
     i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
     i64 pp = p + 1, np = n * p, bufcap = cfg[CFG_BUF_CAP];
     i64 *ring_meta = (i64 *)pt[PT_RING_META];
@@ -620,13 +656,208 @@ void noc_credit(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 }
 
 /* ------------------------------------------------------------------ */
-/* Core phase (CoreArray.step minus the miss-issue tail)               */
+/* Behavior phase (ApplicationBehaviorArray.tick)                      */
 /* ------------------------------------------------------------------ */
-void noc_cores(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+/* Every phase timer counts down; the expired nodes then draw all their
+ * mean-one lognormal multipliers, then all their geometric phase
+ * lengths, from the "phases" stream. */
+static void behavior_tick(void **pt, const i64 *cfg)
 {
-    (void)cycle;
-    if (!check_abi(cfg, ctr))
+    const double *f = (const double *)pt[PT_FCFG];
+    if (f[FCFG_PHASE_SIGMA] <= 0.0)
         return;
+    bitgen_t *rng = (bitgen_t *)pt[PT_RNG_PHASE];
+    i64 *timer = (i64 *)pt[PT_BH_TIMER];
+    double *mult = (double *)pt[PT_BH_MULT];
+    i64 *expired = (i64 *)pt[PT_EXPIRED];
+    i64 m = 0;
+    for (i64 node = 0; node < cfg[CFG_N]; node++)
+        if (--timer[node] <= 0)
+            expired[m++] = node;
+    for (i64 i = 0; i < m; i++)
+        mult[expired[i]] = random_lognormal(rng, f[FCFG_PHASE_MU],
+                                            f[FCFG_PHASE_SIGMA]);
+    for (i64 i = 0; i < m; i++)
+        timer[expired[i]] = random_geometric(rng, f[FCFG_PHASE_P]);
+}
+
+/* ------------------------------------------------------------------ */
+/* Miss destinations (repro.traffic.locality samplers)                 */
+/* ------------------------------------------------------------------ */
+/* Reflect an out-of-range grid coordinate back into [0, limit]
+ * (locality._fold, per element). */
+static inline i64 fold(i64 c, i64 limit)
+{
+    c = c < 0 ? -c : c;
+    for (int r = 0; r < 2 && c > limit; r++) {
+        c = 2 * limit - c;
+        c = c < 0 ? -c : c;
+    }
+    return c > limit ? limit : c;
+}
+
+static inline i64 floor_mod(i64 a, i64 m)
+{
+    i64 r = a % m;
+    return r < 0 ? r + m : r;
+}
+
+/* Destinations for the k missers in PT_MISS_OUT, written to
+ * PT_ISSUE_DEST.  Each numpy array draw of the reference becomes one
+ * pass here, so the "destinations" stream is consumed in the same
+ * order: all distances, then (grid) all axis splits and both sign
+ * vectors, or (graph) all bucket picks. */
+static void sample_destinations(void **pt, const i64 *cfg, i64 k)
+{
+    const i64 *src = (const i64 *)pt[PT_MISS_OUT];
+    i64 *dest = (i64 *)pt[PT_ISSUE_DEST];
+    bitgen_t *rng = (bitgen_t *)pt[PT_RNG_DEST];
+    i64 n = cfg[CFG_N];
+    i64 *d = (i64 *)pt[PT_DRAW_D];
+
+    if (cfg[CFG_LOC_KIND] == LOC_UNIFORM) {
+        /* UniformStriping: integers(1, n, size=k) */
+        random_bounded_uint64_fill(rng, 1, (uint64_t)(n - 2), k, false,
+                                   (uint64_t *)d);
+        for (i64 i = 0; i < k; i++)
+            dest[i] = (src[i] + d[i]) % n;
+        return;
+    }
+
+    double param = ((const double *)pt[PT_FCFG])[FCFG_LOC_PARAM];
+    for (i64 i = 0; i < k; i++) {
+        if (cfg[CFG_LOC_KIND] == LOC_EXPONENTIAL) {
+            /* rint(exponential(mean)), at least 1 */
+            double x = rint(random_exponential(rng, param));
+            d[i] = (i64)(x < 1.0 ? 1.0 : x);
+        } else {
+            /* floor(pareto(alpha) + 1) */
+            d[i] = (i64)floor(random_pareto(rng, param) + 1.0);
+        }
+    }
+
+    if (!cfg[CFG_LOC_GRID]) {
+        /* Graph topologies: a uniform node from the source's bucket at
+         * the sampled distance, clipped to 1..ecc(src). */
+        const int32_t *order = (const int32_t *)pt[PT_LOC_ORDER];
+        const i64 *start = (const i64 *)pt[PT_LOC_START];
+        const i64 *count = (const i64 *)pt[PT_LOC_COUNT];
+        const i64 *ecc = (const i64 *)pt[PT_LOC_ECC];
+        i64 buckets = cfg[CFG_LOC_BUCKETS];
+        for (i64 i = 0; i < k; i++) {
+            i64 s = src[i];
+            i64 di = d[i] < 1 ? 1 : d[i];
+            di = di > ecc[s] ? ecc[s] : di;
+            i64 b = s * buckets + di;
+            i64 pick = start[b] + (i64)random_bounded_uint64(
+                rng, 0, (uint64_t)(count[b] - 1), 0, false);
+            dest[i] = order[s * n + pick];
+        }
+        return;
+    }
+
+    /* 2D grids: split the distance across the axes, pick random signs,
+     * wrap (torus) or fold (mesh) at the edges. */
+    i64 *a = (i64 *)pt[PT_DRAW_A];
+    i64 *sx = (i64 *)pt[PT_DRAW_SX];
+    i64 *sy = (i64 *)pt[PT_DRAW_SY];
+    const int32_t *cx = (const int32_t *)pt[PT_LOC_X];
+    const int32_t *cy = (const int32_t *)pt[PT_LOC_Y];
+    i64 w = cfg[CFG_WIDTH], h = cfg[CFG_HEIGHT], maxd = cfg[CFG_MAX_DIST];
+    for (i64 i = 0; i < k; i++) {
+        d[i] = d[i] < 1 ? 1 : (d[i] > maxd ? maxd : d[i]);
+        a[i] = (i64)random_bounded_uint64(rng, 0, (uint64_t)d[i], 0, false);
+    }
+    random_bounded_uint64_fill(rng, 0, 1, k, false, (uint64_t *)sx);
+    random_bounded_uint64_fill(rng, 0, 1, k, false, (uint64_t *)sy);
+    for (i64 i = 0; i < k; i++) {
+        i64 s = src[i];
+        i64 x = cx[s] + (sx[i] * 2 - 1) * a[i];
+        i64 y = cy[s] + (sy[i] * 2 - 1) * (d[i] - a[i]);
+        if (cfg[CFG_WRAPS]) {
+            x = floor_mod(x, w);
+            y = floor_mod(y, h);
+        } else {
+            x = fold(x, w - 1);
+            y = fold(y, h - 1);
+        }
+        i64 t = y * w + x;
+        /* Edge folding can land back on the source; nudge one hop. */
+        if (t == s)
+            t += cx[t] < w - 1 ? 1 : -1;
+        dest[i] = t;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Core phase (CoreArray.step)                                         */
+/* ------------------------------------------------------------------ */
+/* The miss tail (CoreArray._issue_misses): push one request per misser
+ * in PT_MISS_OUT[:k] to PT_ISSUE_DEST, then draw the next miss gap of
+ * each accepted node (ApplicationBehaviorArray.sample_gap) from the
+ * "destinations" stream. */
+static void issue_misses(void **pt, const i64 *cfg, i64 cycle, i64 k)
+{
+    i64 qcap = cfg[CFG_QCAP];
+    i64 req_flits = cfg[CFG_REQ_FLITS];
+    i64 *nodes = (i64 *)pt[PT_MISS_OUT];
+    const i64 *dest = (const i64 *)pt[PT_ISSUE_DEST];
+    int32_t *req_dest = (int32_t *)pt[PT_REQ_DEST];
+    int8_t *req_kind = (int8_t *)pt[PT_REQ_KIND];
+    int16_t *req_flit = (int16_t *)pt[PT_REQ_FLITS];
+    i64 *req_stamp = (i64 *)pt[PT_REQ_STAMP];
+    int16_t *req_seq = (int16_t *)pt[PT_REQ_SEQ];
+    int32_t *req_head = (int32_t *)pt[PT_REQ_HEAD];
+    int32_t *req_count = (int32_t *)pt[PT_REQ_COUNT];
+    double *issue_pos = (double *)pt[PT_CO_ISSUE_POS];
+    int16_t *recv = (int16_t *)pt[PT_CO_RECV];
+    unsigned char *complete = (unsigned char *)pt[PT_CO_COMPLETE];
+    i64 *issued = (i64 *)pt[PT_CO_ISSUED];
+    i64 *misses = (i64 *)pt[PT_CO_MISSES];
+    i64 *epoch_flits = (i64 *)pt[PT_CO_EPOCH_FLITS];
+    const double *retired = (const double *)pt[PT_CO_RETIRED];
+
+    /* Accepted nodes are compacted in place (a prefix-order subset). */
+    i64 m = 0;
+    for (i64 i = 0; i < k; i++) {
+        i64 node = nodes[i];
+        if (req_count[node] >= qcap)
+            continue;  /* rejected: gap stays 0, backpressure stalls */
+        i64 seq = issued[node] % SEQ_RING;
+        i64 slot = (req_head[node] + req_count[node]) % qcap;
+        i64 idx = node * qcap + slot;
+        req_dest[idx] = (int32_t)dest[i];
+        req_kind[idx] = KIND_REQUEST;
+        req_flit[idx] = (int16_t)req_flits;
+        req_stamp[idx] = cycle;
+        req_seq[idx] = (int16_t)seq;
+        req_count[node] += 1;
+        i64 ring = node * SEQ_RING + seq;
+        issue_pos[ring] = retired[node];
+        recv[ring] = 0;
+        complete[ring] = 0;
+        issued[node] += 1;
+        misses[node] += 1;
+        epoch_flits[node] += req_flits + cfg[CFG_REPLY_FLITS];
+        nodes[m++] = node;
+    }
+
+    bitgen_t *rng = (bitgen_t *)pt[PT_RNG_DEST];
+    const double *mu = (const double *)pt[PT_BH_MU];
+    const double *sigma = (const double *)pt[PT_BH_SIGMA];
+    const double *mult = (const double *)pt[PT_BH_MULT];
+    double fpm = ((const double *)pt[PT_FCFG])[FCFG_FLITS_PER_MISS];
+    double *gap = (double *)pt[PT_CO_GAP];
+    for (i64 i = 0; i < m; i++) {
+        i64 node = nodes[i];
+        double g = random_lognormal(rng, mu[node], sigma[node]) * mult[node]
+                   * fpm;
+        gap[node] = g < 1.0 ? 1.0 : g;
+    }
+}
+
+static void cores_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+{
     i64 n = cfg[CFG_N];
     const unsigned char *active = (const unsigned char *)pt[PT_CO_ACTIVE];
     double *retired = (double *)pt[PT_CO_RETIRED];
@@ -690,75 +921,16 @@ void noc_cores(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
         if (run && gap[node] <= 0.0)
             miss_out[miss++] = node;
     }
-    ctr[CTR_MISS_CNT] = miss;
-}
-
-/* ------------------------------------------------------------------ */
-/* Miss-issue tail (CoreArray._issue_misses minus the RNG draws)       */
-/* ------------------------------------------------------------------ */
-/* Python samples the destinations (PT_ISSUE_DEST) from the shared RNG
- * stream first, this kernel performs the queue pushes and per-miss
- * bookkeeping, and Python then draws the next gaps for the accepted
- * subset — the exact call order of the reference tail.  The accepted
- * nodes are compacted in place into PT_MISS_OUT (they are a prefix-
- * order subset of the misser list). */
-void noc_issue(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
-{
-    if (!check_abi(cfg, ctr))
-        return;
-    i64 k = ctr[CTR_MISS_CNT];
-    i64 qcap = cfg[CFG_QCAP];
-    i64 req_flits = cfg[CFG_REQ_FLITS];
-    i64 *nodes = (i64 *)pt[PT_MISS_OUT];
-    const i64 *dest = (const i64 *)pt[PT_ISSUE_DEST];
-    int32_t *req_dest = (int32_t *)pt[PT_REQ_DEST];
-    int8_t *req_kind = (int8_t *)pt[PT_REQ_KIND];
-    int16_t *req_flit = (int16_t *)pt[PT_REQ_FLITS];
-    i64 *req_stamp = (i64 *)pt[PT_REQ_STAMP];
-    int16_t *req_seq = (int16_t *)pt[PT_REQ_SEQ];
-    int32_t *req_head = (int32_t *)pt[PT_REQ_HEAD];
-    int32_t *req_count = (int32_t *)pt[PT_REQ_COUNT];
-    double *issue_pos = (double *)pt[PT_CO_ISSUE_POS];
-    int16_t *recv = (int16_t *)pt[PT_CO_RECV];
-    unsigned char *complete = (unsigned char *)pt[PT_CO_COMPLETE];
-    i64 *issued = (i64 *)pt[PT_CO_ISSUED];
-    i64 *misses = (i64 *)pt[PT_CO_MISSES];
-    i64 *epoch_flits = (i64 *)pt[PT_CO_EPOCH_FLITS];
-    const double *retired = (const double *)pt[PT_CO_RETIRED];
-
-    i64 m = 0;
-    for (i64 i = 0; i < k; i++) {
-        i64 node = nodes[i];
-        if (req_count[node] >= qcap)
-            continue;  /* rejected: gap stays 0, backpressure stalls */
-        i64 seq = issued[node] % SEQ_RING;
-        i64 slot = (req_head[node] + req_count[node]) % qcap;
-        i64 idx = node * qcap + slot;
-        req_dest[idx] = (int32_t)dest[i];
-        req_kind[idx] = KIND_REQUEST;
-        req_flit[idx] = (int16_t)req_flits;
-        req_stamp[idx] = cycle;
-        req_seq[idx] = (int16_t)seq;
-        req_count[node] += 1;
-        i64 ring = node * SEQ_RING + seq;
-        issue_pos[ring] = retired[node];
-        recv[ring] = 0;
-        complete[ring] = 0;
-        issued[node] += 1;
-        misses[node] += 1;
-        epoch_flits[node] += req_flits + cfg[CFG_REPLY_FLITS];
-        nodes[m++] = node;
+    if (miss) {
+        sample_destinations(pt, cfg, miss);
+        issue_misses(pt, cfg, cycle, miss);
     }
-    ctr[CTR_ACCEPTED] = m;
 }
-
 /* ------------------------------------------------------------------ */
 /* Memory phase (MemorySystem.step)                                    */
 /* ------------------------------------------------------------------ */
-void noc_memory(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+static void memory_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    if (!check_abi(cfg, ctr))
-        return;
     i64 L = cfg[CFG_L2_LAT], cap = cfg[CFG_EJ_CAP], pcap = cfg[CFG_PEND_CAP];
     i64 qcap = cfg[CFG_QCAP];
     i64 *mem_srv = (i64 *)pt[PT_MEM_SRV];
@@ -844,11 +1016,8 @@ void noc_memory(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 /* ------------------------------------------------------------------ */
 /* Ejection phase (Simulator._ejection_phase consumers)                */
 /* ------------------------------------------------------------------ */
-void noc_eject(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+static void eject_phase(void **pt, const i64 *cfg, i64 *ctr)
 {
-    (void)cycle;
-    if (!check_abi(cfg, ctr))
-        return;
     i64 k = ctr[CTR_EJ_COUNT];
     if (k == 0)
         return;
@@ -912,4 +1081,77 @@ void noc_eject(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
             visited[ej_node[i] * SEQ_RING + ej_seq[i]] = 0;
     if (dirty)
         ctr[CTR_HEAD_DIRTY] = 1;
+}
+
+/* ------------------------------------------------------------------ */
+/* Network phase (RouterEngine.step)                                   */
+/* ------------------------------------------------------------------ */
+static void network_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+{
+    int buffered = cfg[CFG_BUFFERED] != 0;
+    if (cfg[CFG_ARB] == ARB_RANDOM) {
+        /* RandomArbitration: integers(0, KEY_MAX, size=grid) from the
+         * "arbitration" stream, one fresh grid per cycle. */
+        i64 n = cfg[CFG_N], cols = cfg[CFG_P] + buffered;
+        random_bounded_uint64_fill((bitgen_t *)pt[PT_RNG_ARB], 0,
+                                   (uint64_t)(KEY_MAX - 1), n * cols, false,
+                                   (uint64_t *)pt[buffered ? PT_H_KEY
+                                                           : PT_G_KEY]);
+    }
+    if (buffered)
+        credit_step(pt, cfg, ctr, cycle);
+    else
+        bless_step(pt, cfg, ctr, cycle);
+}
+
+/* ------------------------------------------------------------------ */
+/* The cycle loop                                                      */
+/* ------------------------------------------------------------------ */
+static inline i64 now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (i64)ts.tv_sec * 1000000000LL + (i64)ts.tv_nsec;
+}
+
+/* With cfg[CFG_PROFILE] set, charge the time since the last lap to a
+ * CTR_NS_* slot (PhaseTimer's attribution; never read by the model). */
+#define LAP(slot)                                                       \
+    do {                                                                \
+        if (profile) {                                                  \
+            i64 t_ = now_ns();                                          \
+            ctr[slot] += t_ - mark;                                     \
+            mark = t_;                                                  \
+        }                                                               \
+    } while (0)
+
+/* Run cycles [cycle, cycle + ncycles): behavior -> cores -> memory ->
+ * network -> ejection, the reference pipeline's per-cycle order.  The
+ * epoch phase stays in Python, so a segment never crosses an epoch
+ * boundary.  Afterwards PT_EJ_* holds the last cycle's ejected flits.
+ * Stops at the first error (ctr[CTR_ERROR]). */
+void noc_run(void **pt, const i64 *cfg, i64 *ctr, i64 cycle, i64 ncycles)
+{
+    if (!check_abi(cfg, ctr))
+        return;
+    int profile = cfg[CFG_PROFILE] != 0;
+    i64 mark = profile ? now_ns() : 0;
+    for (i64 c = cycle; c < cycle + ncycles; c++) {
+        behavior_tick(pt, cfg);
+        LAP(CTR_NS_BEHAVIOR);
+        cores_phase(pt, cfg, ctr, c);
+        LAP(CTR_NS_CORES);
+        memory_phase(pt, cfg, ctr, c);
+        LAP(CTR_NS_MEMORY);
+        if (ctr[CTR_ERROR])
+            return;
+        network_phase(pt, cfg, ctr, c);
+        LAP(CTR_NS_NETWORK);
+        if (ctr[CTR_ERROR])
+            return;
+        eject_phase(pt, cfg, ctr);
+        LAP(CTR_NS_EJECTION);
+        if (ctr[CTR_ERROR])
+            return;
+    }
 }

@@ -148,8 +148,9 @@ class RandomArbitration(ArbitrationPolicy):
 
     def keys_into(self, engine, birth, meta, out, scratch):
         # The generator draw itself allocates; the native backend makes
-        # the identical call (same size, dtype, bounds) so both backends
-        # consume the stream alike.
+        # the identical draw in C (numpy's random_bounded_uint64_fill,
+        # same count and bounds) so both backends consume the stream
+        # alike.
         out[:] = engine._rng.integers(
             0, _KEY_MAX, size=birth.shape, dtype=np.int64
         )

@@ -21,8 +21,14 @@ Per-cycle order of operations (the phase-pipeline contract, see
    observes the network (IPF + starvation, the paper's 2n control
    packets) and installs new throttling rates.
 
-There is exactly one run loop; profiling composes per-phase timing
-wrappers at compile time instead of duplicating the loop.
+There is exactly one run loop.  It advances in *segments* that end at
+epoch boundaries (and at 256-cycle marks under a deadline); the backend
+decides how a segment is simulated — the reference runs the compiled
+phase pipeline once per cycle, the native backend runs behavior through
+ejection for the whole segment in one C call, with one-cycle segments
+whenever a per-cycle observer is attached.  Profiling composes
+per-phase timing wrappers at compile time instead of duplicating the
+loop.
 """
 
 from __future__ import annotations
@@ -71,13 +77,10 @@ PHASE_WRITES = {
     "_chaos_phase": (),
     "_behavior_phase": (),
     "_network_phase": ("_ejected",),
-    "_cores_phase_native": (),
-    "_memory_phase_native": (),
-    "_network_phase_native": ("_ejected",),
     "_invariants_hook": (),
     "_watchdog_hook": (),
     "_ejection_phase": (),
-    "_ejection_phase_native": (),
+    "_observe_ejections": (),
     "_epoch_phase": (
         "_epoch_start_hops",
         "_epoch_start_insns",
@@ -228,23 +231,23 @@ class Simulator:
         :meth:`run` — nothing here branches on it.
         """
         pipe = PhasePipeline()
+        if self._accel is not None:
+            # Native backend: behavior through ejection run in C, a
+            # whole segment per NativeAccel.run call.  What Python still
+            # does per cycle are observers, run after each (then
+            # one-cycle) segment and timed under the phase they extend.
+            # Chaos and the invariant checker are gated off by the
+            # accel's construction checks, so neither appears here.
+            if self.watchdog is not None:
+                pipe.append("network", self._watchdog_hook)
+            pipe.append("ejection", self._observe_ejections)
+            pipe.append("epoch", self._epoch_phase, every=self.config.epoch)
+            return pipe
         if self.chaos is not None:
             # Chaos runs first: fault transitions land on the cycle
             # boundary, before any phase observes the topology.
             pipe.append("chaos", self._chaos_phase)
         pipe.append("behavior", self._behavior_phase)
-        if self._accel is not None:
-            # Native backend: same phase order, compiled phase bodies.
-            # Chaos and the invariant checker are gated off by the
-            # accel's construction checks, so neither appears here.
-            pipe.append("cores", self._cores_phase_native)
-            pipe.append("memory", self._memory_phase_native)
-            pipe.append("network", self._network_phase_native)
-            if self.watchdog is not None:
-                pipe.post_hook("network", self._watchdog_hook)
-            pipe.append("ejection", self._ejection_phase_native)
-            pipe.append("epoch", self._epoch_phase, every=self.config.epoch)
-            return pipe
         pipe.append("cores", self.cores.step)
         pipe.append("memory", self.memory.step)
         pipe.append("network", self._network_phase)
@@ -265,21 +268,13 @@ class Simulator:
     def _network_phase(self, cycle: int) -> None:
         self._ejected = self.network.step(cycle)
 
-    def _cores_phase_native(self, cycle: int) -> None:
-        self._accel.cores_phase(cycle)
-
-    def _memory_phase_native(self, cycle: int) -> None:
-        self._accel.memory_phase(cycle)
-
-    def _network_phase_native(self, cycle: int) -> None:
-        self._ejected = self._accel.network_phase(cycle)
-
-    def _ejection_phase_native(self, cycle: int) -> None:
-        """Native ejection: L2 + core delivery happen in C; only the
-        (optional) controller observation stays in Python."""
-        self._accel.ejection_phase(cycle)
-        if self._observe and self._ejected.node.size:
-            self.controller.on_ejected(self._ejected)
+    def _observe_ejections(self, cycle: int) -> None:
+        """Native: hand the cycle's delivered flits to an observing
+        controller (L2 and core delivery already happened in C)."""
+        if self._observe:
+            ejected = self._accel.ejected()
+            if ejected.node.size:
+                self.controller.on_ejected(ejected)
 
     def _invariants_hook(self, cycle: int) -> None:
         assert self.checker is not None  # only registered when enabled
@@ -357,6 +352,11 @@ class Simulator:
         self._observe = self.controller.observes_ejections
         self.pipeline.set_period("epoch", epoch)
         cycle_fns, periodic = self.pipeline.compiled(self.phase_timer)
+        if self._accel is None:
+            advance, one_cycle = self._advance_reference, False
+        else:
+            advance = self._advance_native
+            one_cycle = self.watchdog is not None or self._observe
         wall_start = time.perf_counter()  # repro: noqa[DET001]
         try:
             cycle = self.cycle
@@ -367,9 +367,16 @@ class Simulator:
                     )
                     if elapsed > deadline:
                         raise SimulationTimeout(cycle, elapsed, deadline)
-                for fn in cycle_fns:
-                    fn(cycle)
-                cycle = self.cycle = cycle + 1
+                # A segment ends at the next epoch boundary, deadline
+                # check or run end, or after one cycle for a backend
+                # with per-cycle observers.
+                stop = min(end, cycle - cycle % epoch + epoch)
+                if deadline is not None:
+                    stop = min(stop, cycle - cycle % 256 + 256)
+                if one_cycle:
+                    stop = cycle + 1
+                advance(cycle, stop, cycle_fns)
+                cycle = stop
                 for every, fn in periodic:
                     if cycle % every == 0:
                         fn(cycle)
@@ -378,6 +385,25 @@ class Simulator:
                 time.perf_counter() - wall_start  # repro: noqa[DET001]
             )
         return self.result()
+
+    def _advance_reference(self, cycle: int, stop: int, cycle_fns) -> None:
+        """Reference segment: the compiled phases, once per cycle."""
+        for c in range(cycle, stop):
+            for fn in cycle_fns:
+                fn(c)
+            self.cycle = c + 1
+
+    def _advance_native(self, cycle: int, stop: int, cycle_fns) -> None:
+        """Native segment: one C call, then the per-cycle observers
+        (the native pipeline's only per-cycle phases).
+
+        An active observer makes every segment one cycle long, so it
+        sees each cycle exactly as the reference's post-hooks do.
+        """
+        self._accel.run(cycle, stop - cycle)
+        for fn in cycle_fns:
+            fn(stop - 1)
+        self.cycle = stop
 
     # ------------------------------------------------------------------
     def _bind_control_domains(self) -> None:

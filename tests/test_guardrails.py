@@ -1,5 +1,5 @@
 """Tests for the simulation guardrails: invariant checking, the progress
-watchdog, fault injection, and the resilient experiment runner."""
+watchdog, fault injection, and guardrail aborts in sweeps."""
 
 from types import SimpleNamespace
 
@@ -20,7 +20,8 @@ from repro import (
     make_category_workload,
     make_homogeneous_workload,
 )
-from repro.experiments import run_workload_safe
+from repro.harness import JobSpec, run_jobs
+from repro.harness.jobs import run_job
 from repro.network import BlessNetwork, BufferedNetwork
 from repro.network.base import EjectedFlits
 from repro.network.flit import pack_meta
@@ -407,52 +408,52 @@ class TestSimulatorGuardrails:
 
 
 # ---------------------------------------------------------------------------
-# Resilient experiment runner
+# Guardrail aborts in sweeps
 # ---------------------------------------------------------------------------
 class TestRunnerResilience:
+    """Through :func:`run_jobs`, a guardrail abort is a failed record that
+    carries the error; the point is never rerun as another experiment."""
+
     def setup_method(self):
         self.workload = make_homogeneous_workload("mcf", 16)
 
-    def test_retry_recovers_with_fresh_seed(self):
-        calls = []
+    def _spec(self, cycles=300, **kw):
+        return JobSpec.for_workload(self.workload, cycles, seed=7, **kw)
 
-        def flaky(workload, cycles, controller=None, **kw):
-            calls.append(kw["seed"])
-            if len(calls) == 1:
-                raise LivelockError(42, "stuck")
-            return "recovered"
+    def test_tripped_guardrail_is_a_failed_record_with_original_seed(
+        self, monkeypatch
+    ):
+        seeds = []
 
-        result = run_workload_safe(
-            self.workload, 100, retries=2, backoff=0.0, seed=7, _runner=flaky
-        )
-        assert result == "recovered"
-        assert calls == [7, 8]  # second attempt reseeded
+        def counting(spec):
+            seeds.append(spec.seed)
+            return run_job(spec)
 
-    def test_exhausted_retries_warn_and_return_none(self):
-        def always_failing(workload, cycles, controller=None, **kw):
-            raise LivelockError(1, "hopeless")
+        monkeypatch.setattr("repro.harness.executor.run_job", counting)
+        # Any flit older than one cycle trips the age watchdog.
+        spec = self._spec(config={"max_flit_age": 1})
+        report = run_jobs([spec], jobs=1, cache=False)
+        (record,) = report.records
+        assert report.results == [None]
+        assert seeds == [7]  # run once, with the spec's own seed
+        assert record.key == spec.content_hash()
+        assert record.label.endswith("/s7")
+        assert not record.ok
+        assert record.error.startswith("LivelockError: ")
+        assert "age bound" in record.error
 
-        with pytest.warns(RuntimeWarning, match="abandoned after 2 attempt"):
-            result = run_workload_safe(
-                self.workload, 100, retries=1, backoff=0.0,
-                _runner=always_failing,
-            )
-        assert result is None
-
-    def test_non_guardrail_errors_propagate(self):
-        def broken(workload, cycles, controller=None, **kw):
+    def test_non_guardrail_errors_propagate(self, monkeypatch):
+        def broken(spec):
             raise ZeroDivisionError
 
+        monkeypatch.setattr("repro.harness.executor.run_job", broken)
         with pytest.raises(ZeroDivisionError):
-            run_workload_safe(self.workload, 100, _runner=broken)
-
-    def test_rejects_negative_retries(self):
-        with pytest.raises(ValueError):
-            run_workload_safe(self.workload, 100, retries=-1)
+            run_jobs([self._spec()], jobs=1, cache=False)
 
     def test_real_timeout_degrades_to_partial_result(self):
-        with pytest.warns(RuntimeWarning, match="wall-clock budget"):
-            result = run_workload_safe(
-                self.workload, 500_000, retries=0, timeout_s=0.0
-            )
-        assert result is None
+        report = run_jobs(
+            [self._spec(cycles=500_000, deadline=0.0)], jobs=1, cache=False
+        )
+        assert report.results == [None]
+        assert report.failed == 1
+        assert "wall-clock budget" in report.records[0].error

@@ -2,12 +2,13 @@
 
 The native backend (``SimulationConfig.backend = "native"``) must be a
 pure accelerator: every supported configuration produces results
-bit-identical to the numpy engine, and every unsupported configuration
+bit-identical to the numpy engine, and leaves the simulator's random
+generators in the same state, and every unsupported configuration
 refuses loudly at construction instead of silently diverging.  The ABI
 tests edit a copy of ``kernels.c`` and check that layout drift fails at
 load or construction.  The allocation tests pin the zero-allocation
-claim: after warm-up, the network phase performs no new numpy array
-allocations.
+claim: after warm-up, the network phase (and, natively, a whole
+segment of cycles) performs no new numpy array allocations.
 """
 
 import json
@@ -21,11 +22,15 @@ from repro.config import SimulationConfig
 from repro.guardrails.faults import FaultConfig
 from repro.native import (
     NativeAbiError,
+    NativeBuildError,
     NativeUnsupported,
     build,
     native_available,
 )
+from repro.observability import PHASES
 from repro.sim.simulator import Simulator
+from repro.topology.mesh import Mesh2D
+from repro.traffic.hotspot import HotspotLocality
 from repro.traffic.workloads import make_category_workload
 
 needs_native = pytest.mark.skipif(
@@ -33,7 +38,13 @@ needs_native = pytest.mark.skipif(
 )
 
 
-def _run(network, backend, nodes=16, cycles=800, seed=7, controller=None, **kw):
+def _run(network, backend, nodes=16, cycles=800, seed=7, controller=None,
+         splits=None, **kw):
+    """The run's result and the final state of its per-cycle generators.
+
+    ``splits`` drives the run as several ``run(cycles, deadline)``
+    calls instead of one ``run(cycles)``.
+    """
     workload = make_category_workload("H", nodes, np.random.default_rng(seed))
     config = SimulationConfig(
         workload, seed=seed, epoch=200, network=network, backend=backend, **kw
@@ -43,7 +54,24 @@ def _run(network, backend, nodes=16, cycles=800, seed=7, controller=None, **kw):
         from repro.control.distributed import DistributedController
 
         sim.controller = DistributedController(sim.network)
-    return sim.run(cycles).to_dict()
+    elif controller == "hierarchical":
+        from repro.control.central import ControlParams
+        from repro.control.hierarchical import HierarchicalController
+
+        sim.controller = HierarchicalController(
+            ControlParams(epoch=200), num_domains=4
+        )
+    for part, deadline in splits or [(cycles, None)]:
+        result = sim.run(part, deadline=deadline)
+    rngs = {
+        name: getattr(sim, attr).bit_generator.state
+        for name, attr in (
+            ("destinations", "_rng_dest"),
+            ("phases", "_rng_phase"),
+            ("arbitration", "_rng_arb"),
+        )
+    }
+    return {"result": result.to_dict(), "rngs": rngs}
 
 
 def _canon(result):
@@ -64,6 +92,28 @@ EQUIVALENCE_CASES = {
     "bless-watchdog": dict(
         network="bless", watchdog_window=0, max_flit_age=100_000
     ),
+    "bless-exponential": dict(network="bless", locality="exponential"),
+    "bless-powerlaw": dict(
+        network="bless", locality="powerlaw", locality_param=2.5
+    ),
+    "buffered-torus-exponential": dict(
+        network="buffered", topology="torus", locality="exponential"
+    ),
+    # a graph topology: the exponential sampler's distance buckets
+    "bless-chiplet-exponential": dict(
+        network="bless", topology="chiplet", nodes=64, cycles=400,
+        locality="exponential",
+    ),
+    "bless-no-phases": dict(network="bless", phase_sigma=0.0),
+    "bless-hierarchical-control": dict(
+        network="bless", controller="hierarchical", model_control_traffic=True
+    ),
+    # uneven run() calls under a deadline: native segments end at
+    # 256-cycle marks and epoch ends and resume mid-epoch
+    "bless-split-deadline": dict(
+        network="bless", arbitration="random",
+        splits=[(137, 1e9), (300, 1e9), (363, None)],
+    ),
 }
 
 
@@ -71,11 +121,13 @@ EQUIVALENCE_CASES = {
 @pytest.mark.slow
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_native_matches_numpy(case):
-    """Full-result bit-identity between the numpy and native backends."""
-    kwargs = EQUIVALENCE_CASES[case]
-    assert _canon(_run(backend="numpy", **kwargs)) == _canon(
-        _run(backend="native", **kwargs)
-    )
+    """Full-result bit-identity between the numpy and native backends,
+    down to the final state of every per-cycle random generator (the
+    numpy side always runs in one call)."""
+    kwargs = dict(EQUIVALENCE_CASES[case])
+    native = _run(backend="native", **kwargs)
+    kwargs.pop("splits", None)
+    assert _canon(_run(backend="numpy", **kwargs)) == _canon(native)
 
 
 @needs_native
@@ -96,8 +148,9 @@ def test_native_matches_numpy_8x8():
         dict(network="bless", trace=True),
         dict(network="bless", check_invariants=True),
         dict(network="bless", faults=FaultConfig(link_fault_rate=0.05)),
+        dict(network="bless", locality=HotspotLocality(Mesh2D(4, 4))),
     ],
-    ids=["hybrid", "trace", "invariants", "faults"],
+    ids=["hybrid", "trace", "invariants", "faults", "hotspot"],
 )
 def test_unsupported_configs_refuse(kwargs):
     """Configurations the kernels do not model raise at construction."""
@@ -145,11 +198,44 @@ def test_real_kernels_abi_matches_python():
     """The shipped kernels.c passes the load and construction checks,
     and every slot enum is dense from 0."""
     abi = build.load_library().abi
-    for prefix in ("PT_", "CFG_", "CTR_"):
+    for prefix in ("PT_", "CFG_", "CTR_", "FCFG_"):
         indices = sorted(v for k, v in abi.items() if k.startswith(prefix))
         assert indices == list(range(len(indices))), prefix
     accel = _native_simulator()._accel
     assert len(accel._arrays) == sum(k.startswith("PT_") for k in abi)
+
+
+@needs_native
+def test_missing_numpy_random_lib_disables_native(tmp_path, monkeypatch):
+    """Without numpy's libnpyrandom.a the kernels cannot draw from the
+    simulator's generators: the backend is unavailable and refuses."""
+    monkeypatch.setattr(build, "_NPY_LIB_DIR", str(tmp_path))
+    monkeypatch.setattr(build, "_BUILD_DIR", str(tmp_path / "_build"))
+    monkeypatch.setattr(build, "_lib", None)
+    with pytest.raises(NativeBuildError, match="libnpyrandom"):
+        build.load_library()
+    assert not native_available()
+    with pytest.raises(NativeUnsupported, match="libnpyrandom"):
+        _native_simulator()
+
+
+@needs_native
+def test_native_profile_reports_every_phase():
+    """A profiled native run attributes time to all six phases from the
+    C timers, and profiling changes nothing but ``perf``."""
+    def run(profile):
+        workload = make_category_workload("H", 16, np.random.default_rng(1))
+        config = SimulationConfig(
+            workload, seed=1, epoch=200, backend="native", profile=profile
+        )
+        return Simulator(config).run(600).to_dict()
+
+    plain, profiled = run(False), run(True)
+    phases = profiled["perf"]["phase_seconds"]
+    assert set(phases) == set(PHASES)
+    assert phases["network"] > 0
+    profiled["perf"] = None
+    assert _canon(plain) == _canon(profiled)
 
 
 @needs_native
@@ -258,21 +344,18 @@ def test_network_phase_steady_state_allocations(network):
 @needs_native
 @pytest.mark.parametrize("network", ["bless", "buffered"])
 def test_native_network_phase_is_allocation_free(network):
-    """The compiled network phase performs zero numpy allocations."""
+    """A 1000-cycle native segment — the network phase and every other
+    per-cycle phase and draw — performs zero numpy allocations."""
     sim = _warm_simulator(network, "native")
-    cycle = sim.cycle
+    accel, cycle = sim._accel, sim.cycle
+    accel.run(cycle, 20)
     tracemalloc.start()
     try:
-        for i in range(20):
-            sim._network_phase_native(cycle + i)
         before = tracemalloc.take_snapshot().filter_traces(_NUMPY_DOMAIN)
-        worst_peak = 0
-        for i in range(100):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            sim._network_phase_native(cycle + 20 + i)
-            peak = tracemalloc.get_traced_memory()[1]
-            worst_peak = max(worst_peak, peak - base)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        accel.run(cycle + 20, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
         after = tracemalloc.take_snapshot().filter_traces(_NUMPY_DOMAIN)
     finally:
         tracemalloc.stop()
@@ -281,4 +364,4 @@ def test_native_network_phase_is_allocation_free(network):
     ]
     assert not new_blocks
     # Only interpreter-level churn (a few ints and frames), no arrays.
-    assert worst_peak < 4 * 1024
+    assert peak - base < 4 * 1024
