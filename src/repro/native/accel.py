@@ -17,6 +17,12 @@ table whose names differ from the C enum's raises
 Configurations the kernels do not model raise
 :class:`NativeUnsupported` at construction time — the backend is opt-in
 and refuses loudly rather than silently diverging from the reference.
+
+:meth:`NativeAccel.flush` — at every epoch boundary and before every
+result — checks flit conservation (injected = ejected + in flight) and
+raises the reference checker's
+:class:`~repro.guardrails.errors.InvariantViolation` on a mismatch, so a
+flit the kernels lose or duplicate fails the run.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import ctypes
 
 import numpy as np
 
+from repro.guardrails.errors import InvariantViolation
 from repro.network.base import EjectedFlits
 from repro.network.flit import SEQ_RING
 from repro.native.build import NativeAbiError, NativeBuildError, load_library
@@ -138,6 +145,7 @@ class NativeAccel:
         _check(p + 1 <= abi["MAX_PORTS"] - 1, "router has too many ports")
 
         self._cores = cores
+        self._net = net
         self._buffered = config.network == "buffered"
         arb = _ARB_CODES[net.arbitration]
         behavior = sim.behavior
@@ -162,25 +170,27 @@ class NativeAccel:
         # reference path's arena grids stay untouched so both paths can
         # coexist in one process.
         shapes = {
-            # working grids
+            # working grids: bless arrivals, arbitration keys (random
+            # draws; buffered head keys), buffered head ports and
+            # per-out-port winner scratch
             "PT_G_META": ((n, p), i64),
             "PT_G_BIRTH": ((n, p), i64),
-            "PT_G_KEY": ((n, p), i64),
-            "PT_G_AVAIL": ((n, p), u8),
-            "PT_G_OUTM": ((n, p), i64),
-            "PT_G_OUTB": ((n, p), i64),
-            "PT_H_KEY": ((n, p + 1), i64),
+            "PT_KEY": ((n, p + 1), i64),
             "PT_H_OUT": ((n, p + 1), i64),
             "PT_W_NODE": (n, i64),
             "PT_W_IN": (n, i64),
             "PT_W_DOWN": (n, i64),
             "PT_W_DPORT": (n, i64),
+            "PT_W_GRANT": (n, u8),
             # ejection batch, exposed back to Python as array views
             "PT_EJ_NODE": (ej_cap, i64),
             "PT_EJ_SRC": (ej_cap, i64),
             "PT_EJ_KIND": (ej_cap, i64),
             "PT_EJ_SEQ": (ej_cap, i64),
             "PT_EJ_CBIT": (ej_cap, u8),
+            # bless ejections past each router's first, held for the
+            # round-major batch order (-1 = empty)
+            "PT_EJ_LATER": ((n, max(eject_width - 1, 1)), i64),
             # core-phase miss output + (node, seq)-dedup scratch
             "PT_MISS_OUT": (n, i64),
             "PT_ISSUE_DEST": (n, i64),
@@ -209,6 +219,7 @@ class NativeAccel:
             name: np.zeros(shape, dtype=dtype)
             for name, (shape, dtype) in shapes.items()
         }
+        owned["PT_EJ_LATER"].fill(-1)
         self._ejected = tuple(
             owned[f"PT_EJ_{field}"]
             for field in ("NODE", "SRC", "KIND", "SEQ", "CBIT")
@@ -424,13 +435,34 @@ class NativeAccel:
             )
 
     def flush(self) -> None:
+        """Mirror the C counters back and check flit conservation.
+
+        Called at epoch boundaries and before result().  Raises
+        :class:`InvariantViolation` (``"conservation"``) when the
+        injected flits differ from the ejected plus in-flight ones.
+        """
+        self._mirror()
+        stats = self._net.stats
+        injected, ejected = stats.injected_flits, stats.ejected_flits
+        in_flight = self._net.in_flight_flits()
+        if injected != ejected + in_flight:
+            raise InvariantViolation(
+                "conservation", stats.cycles,
+                f"native backend: injected={injected} != ejected="
+                f"{ejected} + in_flight={in_flight} (delta "
+                f"{injected - ejected - in_flight:+d} flits)",
+                snapshot=dict(injected_flits=injected,
+                              ejected_flits=ejected, in_flight=in_flight),
+            )
+
+    def _mirror(self) -> None:
         """Mirror the C counters back onto the Python stat objects.
 
-        Array state needs no flushing (the kernels mutate the arrays
+        Array state needs no mirroring (the kernels mutate the arrays
         Python owns); this covers the Python *scalars* only, plus the
         phase nanoseconds a profiled run moves into the PhaseTimer.
-        Called at epoch boundaries and before result() — and after every
-        segment when a watchdog observes the stats every cycle.
+        Runs in every flush — and after every segment, unchecked, when a
+        watchdog observes the stats every cycle.
         """
         values = self._ctr.tolist()
         for obj, attr, i in self._mirrored:
@@ -446,7 +478,7 @@ class NativeAccel:
         self._lib.noc_run(self._pt, self._cfg_p, self._ctr_p, cycle, ncycles)
         self._check_error()
         if self._eager_flush:
-            self.flush()
+            self._mirror()
 
     def ejected(self) -> EjectedFlits:
         """The flits delivered in the last simulated cycle (views)."""

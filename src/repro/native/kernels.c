@@ -23,7 +23,19 @@
  * file is the only place the layout is written down: noc_abi() exports
  * every slot and every #define Python restates, and the loader
  * (build.py) checks the Python side against that table.
+ *
+ * NETWORK: the FLIT-BLESS step is one pass over routers.  Each router
+ * sorts its arrivals by arbitration key, ejects, allocates output
+ * ports, admits one NI flit and writes every departing flit straight
+ * into the link ring; the reference's whole-grid stages (keys,
+ * ejection rounds, rank-by-rank allocation, injection, send) are
+ * per-router independent, so the fused order gives the same result.
+ * The credit (buffered) step stays out-port-major: its two-phase
+ * grants read neighbouring routers' buffers mid-iteration.
  */
+
+/* clock_gettime and CLOCK_MONOTONIC under a strict -std=c11. */
+#define _POSIX_C_SOURCE 199309L
 
 #include <stdbool.h>
 #include <stdint.h>
@@ -96,7 +108,7 @@ typedef long long i64;
     X(LOC_UNIFORM) X(LOC_EXPONENTIAL) X(LOC_POWERLAW)
 
 /* Pointer-table slots.  accel.py fills the table by these names, so
- * slots may be added, removed or reordered here alone (queue_take
+ * slots may be added, removed or reordered here alone (queue_view
  * needs each queue's seven slots consecutive, in this order). */
 #define PT_SLOTS(X)                                                     \
     X(PT_RING_META) X(PT_RING_BIRTH) X(PT_LAT_OUT) X(PT_TARGET_FLAT)    \
@@ -109,13 +121,12 @@ typedef long long i64;
     X(PT_THR_COUNTER) X(PT_THR_RATE) X(PT_STARV_RING) X(PT_STARV_SUM)   \
     X(PT_INJ_PER_NODE) X(PT_STARVED_CYC) X(PT_PORT_STARVED_CYC)         \
     X(PT_LAT_HIST)                                                      \
-    X(PT_G_META) X(PT_G_BIRTH) X(PT_G_KEY) X(PT_G_AVAIL) X(PT_G_OUTM)   \
-    X(PT_G_OUTB)                                                        \
-    X(PT_H_KEY) X(PT_H_OUT) X(PT_W_NODE) X(PT_W_IN) X(PT_W_DOWN)        \
-    X(PT_W_DPORT)                                                       \
+    X(PT_G_META) X(PT_G_BIRTH) X(PT_KEY) X(PT_H_OUT) X(PT_W_NODE)       \
+    X(PT_W_IN) X(PT_W_DOWN) X(PT_W_DPORT) X(PT_W_GRANT)                 \
     X(PT_BUF_META) X(PT_BUF_BIRTH) X(PT_BUF_HEAD) X(PT_BUF_COUNT)       \
     X(PT_RESERVED)                                                      \
     X(PT_EJ_NODE) X(PT_EJ_SRC) X(PT_EJ_KIND) X(PT_EJ_SEQ) X(PT_EJ_CBIT) \
+    X(PT_EJ_LATER)                                                      \
     X(PT_CO_ACTIVE) X(PT_CO_RETIRED) X(PT_CO_ISSUE_POS) X(PT_CO_RECV)   \
     X(PT_CO_COMPLETE) X(PT_CO_ISSUED) X(PT_CO_COMPLETED) X(PT_CO_HEAD)  \
     X(PT_CO_GAP) X(PT_CO_EPOCH_INSNS) X(PT_CO_STALL) X(PT_CO_WSTALL)    \
@@ -194,379 +205,476 @@ static int check_abi(const i64 *cfg, i64 *ctr)
 /* Shared pieces                                                       */
 /* ------------------------------------------------------------------ */
 
-static inline void account_ejection(i64 *ctr, i64 *hist, i64 meta, i64 lat)
+/* A network step's delivered flits: the PT_EJ_* batch plus the
+ * delivery statistics, summed in locals and stored to ctr once per step
+ * (RouterEngine.account_ejections). */
+struct ejector {
+    i64 *node, *src, *kind, *seq, *hist;
+    unsigned char *cbit;
+    i64 count, cap, flits, lat_sum, lat_max, hops_sum;
+};
+
+static inline struct ejector ejector_begin(void **pt, const i64 *cfg,
+                                           const i64 *ctr)
 {
-    ctr[CTR_EJ_FLITS] += 1;
-    ctr[CTR_LAT_SUM] += lat;
-    ctr[CTR_LAT_CNT] += 1;
-    if (lat > ctr[CTR_LAT_MAX])
-        ctr[CTR_LAT_MAX] = lat;
-    hist[lat > HIST_BUCKETS - 1 ? HIST_BUCKETS - 1 : lat] += 1;
-    ctr[CTR_HOPS_SUM] += (meta >> HOPS_SHIFT) & HOPS_MASK;
+    struct ejector e = {
+        .node = pt[PT_EJ_NODE], .src = pt[PT_EJ_SRC],
+        .kind = pt[PT_EJ_KIND], .seq = pt[PT_EJ_SEQ],
+        .hist = pt[PT_LAT_HIST], .cbit = pt[PT_EJ_CBIT],
+        .cap = cfg[CFG_EJ_CAP], .lat_max = ctr[CTR_LAT_MAX],
+    };
+    return e;
 }
 
-static inline int emit_ejected(void **pt, const i64 *cfg, i64 *ctr,
-                               i64 node, i64 meta)
+static inline void account_ejection(struct ejector *e, i64 meta, i64 lat)
 {
-    i64 k = ctr[CTR_EJ_COUNT];
-    if (k >= cfg[CFG_EJ_CAP]) {
-        ctr[CTR_ERROR] = ERR_EJECT_OVERFLOW;
+    e->flits += 1;
+    e->lat_sum += lat;
+    if (lat > e->lat_max)
+        e->lat_max = lat;
+    e->hist[lat > HIST_BUCKETS - 1 ? HIST_BUCKETS - 1 : lat] += 1;
+    e->hops_sum += (meta >> HOPS_SHIFT) & HOPS_MASK;
+}
+
+/* Append one flit to the PT_EJ_* batch; 0 (and ctr's error set by the
+ * caller) when the batch is full. */
+static inline int emit_ejected(struct ejector *e, i64 node, i64 meta)
+{
+    i64 k = e->count;
+    if (k >= e->cap)
         return 0;
-    }
-    ((i64 *)pt[PT_EJ_NODE])[k] = node;
-    ((i64 *)pt[PT_EJ_SRC])[k] = (meta >> SRC_SHIFT) & NODE_MASK;
-    ((i64 *)pt[PT_EJ_KIND])[k] = (meta >> KIND_SHIFT) & 0x3;
-    ((i64 *)pt[PT_EJ_SEQ])[k] = (meta >> SEQ_SHIFT) & SEQ_MASK;
-    ((unsigned char *)pt[PT_EJ_CBIT])[k] =
-        (unsigned char)((meta >> 30) & 0x1);
-    ctr[CTR_EJ_COUNT] = k + 1;
+    e->node[k] = node;
+    e->src[k] = (meta >> SRC_SHIFT) & NODE_MASK;
+    e->kind[k] = (meta >> KIND_SHIFT) & 0x3;
+    e->seq[k] = (meta >> SEQ_SHIFT) & SEQ_MASK;
+    e->cbit[k] = (unsigned char)((meta >> 30) & 0x1);
+    e->count = k + 1;
     return 1;
 }
 
-/* Take one flit from a FlitQueueArray head entry at `node`
- * (repro.network.queues.FlitQueueArray.take_flit). */
-static inline void queue_take(void **pt, int base_slot, i64 qcap, i64 node,
-                              i64 *dest, i64 *kind, i64 *seq, i64 *stamp)
+static inline void ejector_end(const struct ejector *e, i64 *ctr)
 {
-    int32_t *head = (int32_t *)pt[base_slot + 5];
-    int32_t *count = (int32_t *)pt[base_slot + 6];
-    i64 h = head[node];
-    i64 idx = node * qcap + h;
-    *dest = ((int32_t *)pt[base_slot + 0])[idx];
-    *kind = ((int8_t *)pt[base_slot + 1])[idx];
-    *stamp = ((i64 *)pt[base_slot + 3])[idx];
-    *seq = ((int16_t *)pt[base_slot + 4])[idx];
-    int16_t *flits = (int16_t *)pt[base_slot + 2];
-    flits[idx] -= 1;
-    if (flits[idx] == 0) {
-        head[node] = (int32_t)((h + 1) % qcap);
-        count[node] -= 1;
-    }
+    ctr[CTR_EJ_COUNT] = e->count;
+    ctr[CTR_EJ_FLITS] += e->flits;
+    ctr[CTR_LAT_SUM] += e->lat_sum;
+    ctr[CTR_LAT_CNT] += e->flits;
+    ctr[CTR_LAT_MAX] = e->lat_max;
+    ctr[CTR_HOPS_SUM] += e->hops_sum;
 }
 
-/* NI admission shared by both flow controls
- * (RouterEngine.injection_stage + InjectionThrottleGate.decide +
- * NocModel._record_starvation).  mode 0 = bless (route onto a free
- * link), mode 1 = credit (push into the NI input buffer). */
-static void injection_stage(void **pt, const i64 *cfg, i64 *ctr, i64 cycle,
-                            const unsigned char *capacity, int mode,
-                            unsigned char *avail)
-{
-    i64 n = cfg[CFG_N], p = cfg[CFG_P], qcap = cfg[CFG_QCAP];
-    i64 sw = cfg[CFG_SW];
-    i64 spos = ctr[CTR_SPOS];
-    const int32_t *req_count = (const int32_t *)pt[PT_REQ_COUNT];
-    const int32_t *resp_count = (const int32_t *)pt[PT_RESP_COUNT];
-    int32_t *thr_counter = (int32_t *)pt[PT_THR_COUNTER];
-    const double *thr_rate = (const double *)pt[PT_THR_RATE];
-    unsigned char *starv_ring = (unsigned char *)pt[PT_STARV_RING];
-    int32_t *starv_sum = (int32_t *)pt[PT_STARV_SUM];
-    i64 *inj_per_node = (i64 *)pt[PT_INJ_PER_NODE];
-    i64 *starved_cyc = (i64 *)pt[PT_STARVED_CYC];
-    i64 *port_starved = (i64 *)pt[PT_PORT_STARVED_CYC];
-    const signed char *p0tab = (const signed char *)pt[PT_P0TAB];
-    const signed char *p1tab = (const signed char *)pt[PT_P1TAB];
-    i64 *out_meta = (i64 *)pt[PT_G_OUTM];
-    i64 *out_birth = (i64 *)pt[PT_G_OUTB];
-    i64 pp = p + 1, bufcap = cfg[CFG_BUF_CAP];
-    i64 *buf_meta = (i64 *)pt[PT_BUF_META];
-    i64 *buf_birth = (i64 *)pt[PT_BUF_BIRTH];
-    int32_t *buf_head = (int32_t *)pt[PT_BUF_HEAD];
-    int32_t *buf_count = (int32_t *)pt[PT_BUF_COUNT];
+/* One FlitQueueArray (repro.network.queues): its seven consecutive
+ * pointer-table slots, each a per-node ring of `cap` packet entries. */
+struct queue {
+    int32_t *dest;
+    int8_t *kind;
+    int16_t *flits;
+    i64 *stamp;
+    int16_t *seq;
+    int32_t *head, *count;
+    i64 cap;
+};
 
-    for (i64 node = 0; node < n; node++) {
-        int resp_has = resp_count[node] > 0;
-        int req_has = req_count[node] > 0;
-        int wanted = resp_has || req_has;
-        int cap = capacity[node] != 0;
-        int inject_resp = resp_has && cap;
-        int trying_req = req_has && cap && !inject_resp;
-        int inject_req = 0;
-        if (trying_req) {
-            /* Algorithm 3: the counter advances on every attempt. */
-            int32_t c = (int32_t)((thr_counter[node] + 1) % 128);
-            thr_counter[node] = c;
-            inject_req = (double)c >= thr_rate[node] * THROTTLE_MAX;
-        }
-        for (int which = 0; which < 2; which++) {
-            int go = which == 0 ? inject_resp : inject_req;
-            if (!go)
-                continue;
-            i64 dest, kind, seq, stamp;
-            queue_take(pt, which == 0 ? PT_RESP_DEST : PT_REQ_DEST,
-                       qcap, node, &dest, &kind, &seq, &stamp);
-            i64 meta = dest | (node << SRC_SHIFT) | (kind << KIND_SHIFT)
-                       | (seq << SEQ_SHIFT);
-            if (mode == 0) {
-                /* Productive port first, then the other productive
-                 * direction, then the first free link (argmax). */
-                const unsigned char *row = avail + node * p;
-                int port = -1;
-                int p0 = p0tab[node * n + dest];
-                int p1 = p1tab[node * n + dest];
-                if (p0 >= 0 && row[p0])
-                    port = p0;
-                else if (p1 >= 0 && row[p1])
-                    port = p1;
-                if (port < 0) {
-                    port = 0;
-                    for (int c = 0; c < p; c++)
-                        if (row[c]) { port = c; break; }
-                }
-                avail[node * p + port] = 0;
-                out_meta[node * p + port] = meta + HOP_ONE;
-                out_birth[node * p + port] = cycle;
-                ctr[CTR_INJLAT_SUM] += cycle - stamp;
-                ctr[CTR_INJLAT_CNT] += 1;
-            } else {
-                i64 b = node * pp + p;
-                i64 slot = (buf_head[b] + buf_count[b]) % bufcap;
-                buf_meta[b * bufcap + slot] = meta;
-                buf_birth[b * bufcap + slot] = cycle;
-                buf_count[b] += 1;
-                ctr[CTR_BWRITES] += 1;
-            }
-            ctr[CTR_INJ] += 1;
-            inj_per_node[node] += 1;
-        }
-        /* Starvation meter (W-bit shift register) + stats. */
-        int starved = wanted && !(inject_resp || inject_req);
-        unsigned char old = starv_ring[node * sw + spos];
-        starv_sum[node] += (int32_t)starved - (int32_t)old;
-        starv_ring[node * sw + spos] = (unsigned char)starved;
-        starved_cyc[node] += starved;
-        port_starved[node] += wanted && !cap;
+static inline struct queue queue_view(void **pt, int base, i64 cap)
+{
+    struct queue q = {
+        pt[base], pt[base + 1], pt[base + 2], pt[base + 3], pt[base + 4],
+        pt[base + 5], pt[base + 6], cap,
+    };
+    return q;
+}
+
+/* Append a packet at `node` (the caller checked count < cap). */
+static inline void queue_push(const struct queue *q, i64 node, i64 dest,
+                              int kind, i64 flits, i64 stamp, i64 seq)
+{
+    i64 slot = q->head[node] + q->count[node];
+    if (slot >= q->cap)
+        slot -= q->cap;
+    i64 idx = node * q->cap + slot;
+    q->dest[idx] = (int32_t)dest;
+    q->kind[idx] = (int8_t)kind;
+    q->flits[idx] = (int16_t)flits;
+    q->stamp[idx] = stamp;
+    q->seq[idx] = (int16_t)seq;
+    q->count[node] += 1;
+}
+
+/* Take one flit from the head packet at `node`
+ * (FlitQueueArray.take_flit): returns its meta word, zero hops, and
+ * stores the packet's enqueue stamp. */
+static inline i64 queue_take(const struct queue *q, i64 node, i64 *stamp)
+{
+    i64 h = q->head[node];
+    i64 idx = node * q->cap + h;
+    *stamp = q->stamp[idx];
+    i64 meta = (i64)q->dest[idx] | (node << SRC_SHIFT)
+               | ((i64)q->kind[idx] << KIND_SHIFT)
+               | ((i64)q->seq[idx] << SEQ_SHIFT);
+    q->flits[idx] -= 1;
+    if (q->flits[idx] == 0) {
+        q->head[node] = (int32_t)(h + 1 == q->cap ? 0 : h + 1);
+        q->count[node] -= 1;
     }
-    ctr[CTR_SPOS] = (spos + 1) % sw;
+    return meta;
+}
+
+/* NI admission state shared by both flow controls
+ * (RouterEngine.injection_stage + InjectionThrottleGate.decide +
+ * NocModel._record_starvation). */
+struct ni {
+    struct queue req, resp;
+    int32_t *thr_counter, *starv_sum;
+    const double *thr_rate;
+    unsigned char *starv_col;  /* this cycle's W-bit ring column */
+    i64 *inj_per_node, *starved_cyc, *port_starved;
+    i64 sw, injected;
+};
+
+static inline struct ni ni_begin(void **pt, const i64 *cfg, const i64 *ctr)
+{
+    i64 qcap = cfg[CFG_QCAP];
+    struct ni ni = {
+        .req = queue_view(pt, PT_REQ_DEST, qcap),
+        .resp = queue_view(pt, PT_RESP_DEST, qcap),
+        .thr_counter = pt[PT_THR_COUNTER], .starv_sum = pt[PT_STARV_SUM],
+        .thr_rate = pt[PT_THR_RATE],
+        .starv_col = (unsigned char *)pt[PT_STARV_RING] + ctr[CTR_SPOS],
+        .inj_per_node = pt[PT_INJ_PER_NODE],
+        .starved_cyc = pt[PT_STARVED_CYC],
+        .port_starved = pt[PT_PORT_STARVED_CYC],
+        .sw = cfg[CFG_SW],
+    };
+    return ni;
+}
+
+/* Admission at one node whose NI has room iff `cap`: its response
+ * queue first, else its request queue through the Algorithm-3 throttle
+ * counter; updates the starvation meter.  Returns the queue to inject
+ * one flit from, or NULL. */
+static inline const struct queue *ni_admit(struct ni *ni, i64 node, int cap)
+{
+    int resp_has = ni->resp.count[node] > 0;
+    int req_has = ni->req.count[node] > 0;
+    const struct queue *q = NULL;
+    if (cap && resp_has) {
+        q = &ni->resp;
+    } else if (cap && req_has) {
+        /* Algorithm 3: the counter advances on every attempt. */
+        int32_t c = (int32_t)((ni->thr_counter[node] + 1) % 128);
+        ni->thr_counter[node] = c;
+        if ((double)c >= ni->thr_rate[node] * THROTTLE_MAX)
+            q = &ni->req;
+    }
+    int wanted = resp_has || req_has;
+    int starved = wanted && q == NULL;
+    unsigned char *bit = ni->starv_col + node * ni->sw;
+    ni->starv_sum[node] += (int32_t)starved - (int32_t)*bit;
+    *bit = (unsigned char)starved;
+    ni->starved_cyc[node] += starved;
+    ni->port_starved[node] += wanted && !cap;
+    if (q) {
+        ni->inj_per_node[node] += 1;
+        ni->injected += 1;
+    }
+    return q;
+}
+
+static inline void ni_end(const struct ni *ni, i64 *ctr)
+{
+    ctr[CTR_INJ] += ni->injected;
+    i64 spos = ctr[CTR_SPOS] + 1;
+    ctr[CTR_SPOS] = spos == ni->sw ? 0 : spos;
     ctr[CTR_SSEEN] += 1;
+}
+
+/* The link ring's send side for one step: a flit leaving through flat
+ * link `s` (node * p + out port) is written lat_out[s] - 1 slots past
+ * the advanced cursor, at the far end's arrival slot target[s]. */
+struct ring {
+    i64 *meta, *birth;
+    const i64 *lat_out, *target;
+    i64 np, depth, cur;
+};
+
+static inline void ring_send(const struct ring *r, i64 s, i64 meta,
+                             i64 birth)
+{
+    /* cur < depth and lat_out <= depth: one subtract wraps the slot. */
+    i64 slot = r->cur + r->lat_out[s] - 1;
+    if (slot >= r->depth)
+        slot -= r->depth;
+    i64 at = slot * r->np + r->target[s];
+    r->meta[at] = meta;
+    r->birth[at] = birth;
+}
+
+/* The productive port of a flit whose router's free links are the set
+ * bits of `free`, else the other productive direction, else -1. */
+static inline int productive_port(uint64_t free, int p0, int p1)
+{
+    if (p0 >= 0 && ((free >> p0) & 1))
+        return p0;
+    if (p1 >= 0 && ((free >> p1) & 1))
+        return p1;
+    return -1;
+}
+
+/* The first free link (np.argmax over the free row: 0 when none). */
+static inline int first_free(uint64_t free)
+{
+    return free ? __builtin_ctzll(free) : 0;
 }
 
 /* ------------------------------------------------------------------ */
 /* FLIT-BLESS network step (DeflectFlowControl.step)                   */
 /* ------------------------------------------------------------------ */
+/* One pass over routers.  Each router stable-sorts its arrivals by
+ * key, ejects the first eject_width local ones, gives the rest their
+ * productive port or deflects them to the first free link, admits one
+ * NI flit onto what is left and sends every departing flit into the
+ * ring.  The reference does each stage for all routers before the
+ * next, but every stage reads and writes only its own router's row, so
+ * the per-router order is equivalent; only the ejection batch order
+ * (round-major, node-ascending, the numpy ej_parts concatenation) needs
+ * the rounds past the first held back in PT_EJ_LATER. */
 static void bless_step(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
-    i64 np = n * p;
-    i64 *ring_meta = (i64 *)pt[PT_RING_META];
-    i64 *ring_birth = (i64 *)pt[PT_RING_BIRTH];
-    i64 *gmeta = (i64 *)pt[PT_G_META];
-    i64 *gbirth = (i64 *)pt[PT_G_BIRTH];
-    i64 *gkey = (i64 *)pt[PT_G_KEY];
-    unsigned char *avail = (unsigned char *)pt[PT_G_AVAIL];
-    i64 *out_meta = (i64 *)pt[PT_G_OUTM];
-    i64 *out_birth = (i64 *)pt[PT_G_OUTB];
-    i64 *hist = (i64 *)pt[PT_LAT_HIST];
-    const signed char *p0tab = (const signed char *)pt[PT_P0TAB];
-    const signed char *p1tab = (const signed char *)pt[PT_P1TAB];
-    const unsigned char *link_up = (const unsigned char *)pt[PT_LINK_UP];
-    const unsigned char *congested = (const unsigned char *)pt[PT_CONGESTED];
-    const i64 *lat_out = (const i64 *)pt[PT_LAT_OUT];
-    const i64 *target = (const i64 *)pt[PT_TARGET_FLAT];
-    i64 arb = cfg[CFG_ARB];
+    const i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
+    const i64 np = n * p, ew = cfg[CFG_EJECT_W], arb = cfg[CFG_ARB];
+    i64 *restrict ring_meta = pt[PT_RING_META];
+    i64 *restrict ring_birth = pt[PT_RING_BIRTH];
+    i64 *restrict gmeta = pt[PT_G_META];
+    i64 *restrict gbirth = pt[PT_G_BIRTH];
+    const i64 *restrict rkey = pt[PT_KEY];
+    i64 *restrict later = pt[PT_EJ_LATER];
+    const signed char *restrict p0tab = pt[PT_P0TAB];
+    const signed char *restrict p1tab = pt[PT_P1TAB];
+    const unsigned char *restrict link_up = pt[PT_LINK_UP];
+    const unsigned char *restrict congested = pt[PT_CONGESTED];
+    struct ejector ej = ejector_begin(pt, cfg, ctr);
+    struct ni ni = ni_begin(pt, cfg, ctr);
+    i64 sent = 0, defl = 0, injlat = 0, held = 0;
 
-    ctr[CTR_CYCLES] += 1;
-    ctr[CTR_EJ_COUNT] = 0;
-
-    /* Arrivals: copy the ring's arrival slot, clear it, advance. */
+    /* Arrivals: copy the ring's arrival slot, clear it, advance.  (A
+     * link as slow as the ring is deep sends into that slot again.) */
     i64 cur = ctr[CTR_CURSOR];
     memcpy(gmeta, ring_meta + cur * np, (size_t)np * sizeof(i64));
     memcpy(gbirth, ring_birth + cur * np, (size_t)np * sizeof(i64));
     memset(ring_birth + cur * np, 0xFF, (size_t)np * sizeof(i64));
-    cur = (cur + 1) % depth;
+    if (++cur == depth)
+        cur = 0;
     ctr[CTR_CURSOR] = cur;
+    const struct ring ring = {
+        ring_meta, ring_birth, pt[PT_LAT_OUT], pt[PT_TARGET_FLAT],
+        np, depth, cur,
+    };
 
-    /* Arbitration keys; KEY_MAX marks empty/consumed slots.  For
-     * ARB_RANDOM the key grid was prefilled by network_step. */
-    for (i64 i = 0; i < np; i++) {
-        if (gbirth[i] < 0) {
-            gkey[i] = KEY_MAX;
-        } else if (arb != ARB_RANDOM) {
-            i64 k = (gbirth[i] << SRC_SHIFT)
-                    | ((gmeta[i] >> SRC_SHIFT) & NODE_MASK);
-            gkey[i] = arb == ARB_YOUNGEST ? -k : k;
-        }
-    }
+    for (i64 node = 0; node < n; node++) {
+        const i64 base = node * p;
+        const signed char *p0row = p0tab + node * n;
+        const signed char *p1row = p1tab + node * n;
+        const i64 cbit = congested[node] ? CBIT : 0;
 
-    /* Ejection: up to eject_width oldest local flits per node; output
-     * order is round-major, node-ascending within a round (matches the
-     * numpy ej_parts concatenation). */
-    for (i64 round = 0; round < cfg[CFG_EJECT_W]; round++) {
-        for (i64 node = 0; node < n; node++) {
-            i64 base = node * p, best = KEY_MAX;
-            int bc = -1;
-            for (int c = 0; c < p; c++) {
-                i64 k = gkey[base + c];
-                if (k != KEY_MAX && (gmeta[base + c] & NODE_MASK) == node
-                    && k < best) {
-                    best = k;
-                    bc = c;
-                }
-            }
-            if (bc < 0)
+        /* Occupied input slots by key; the stable insertion keeps
+         * column order on ties, like kind="stable" argsort. */
+        i64 key[MAX_PORTS];
+        int col[MAX_PORTS], cnt = 0;
+        uint64_t free = 0;
+        for (int c = 0; c < p; c++) {
+            free |= (uint64_t)(link_up[base + c] != 0) << c;
+            i64 b = gbirth[base + c];
+            if (b < 0)
                 continue;
-            i64 m = gmeta[base + bc];
-            gkey[base + bc] = KEY_MAX;
-            if (!emit_ejected(pt, cfg, ctr, node, m))
-                return;
-            account_ejection(ctr, hist, m, cycle - gbirth[base + bc]);
-        }
-    }
-
-    /* Output-port allocation: per node, flits in key order try their
-     * productive ports, else deflect to the first free link.  The numpy
-     * rank-by-rank loop is per-node independent, so a per-node pass is
-     * exactly equivalent. */
-    memcpy(avail, link_up, (size_t)np);
-    memset(out_birth, 0xFF, (size_t)np * sizeof(i64));
-    for (i64 node = 0; node < n; node++) {
-        i64 base = node * p;
-        int cols[MAX_PORTS], cnt = 0;
-        for (int c = 0; c < p; c++)
-            if (gkey[base + c] != KEY_MAX)
-                cols[cnt++] = c;
-        /* Stable insertion sort by key (ties keep column order, like
-         * kind="stable" argsort). */
-        for (int i = 1; i < cnt; i++) {
-            int c = cols[i];
-            i64 k = gkey[base + c];
-            int j = i - 1;
-            while (j >= 0 && gkey[base + cols[j]] > k) {
-                cols[j + 1] = cols[j];
-                j--;
+            i64 k;
+            if (arb == ARB_RANDOM) {
+                k = rkey[base + c];
+            } else {
+                k = (b << SRC_SHIFT) | ((gmeta[base + c] >> SRC_SHIFT)
+                                        & NODE_MASK);
+                k = arb == ARB_YOUNGEST ? -k : k;
             }
-            cols[j + 1] = c;
+            int j = cnt++;
+            for (; j > 0 && key[j - 1] > k; j--) {
+                key[j] = key[j - 1];
+                col[j] = col[j - 1];
+            }
+            key[j] = k;
+            col[j] = c;
         }
-        unsigned char *row = avail + base;
+
+        /* In key order: the first eject_width local flits eject (round
+         * r = the r-th of them); the rest take a productive port or
+         * deflect to the first free link. */
+        int ejected = 0;
         for (int i = 0; i < cnt; i++) {
-            int c = cols[i];
-            i64 dest = gmeta[base + c] & NODE_MASK;
-            int choice = -1;
-            int p0 = p0tab[node * n + dest];
-            int p1 = p1tab[node * n + dest];
-            if (p0 >= 0 && row[p0])
-                choice = p0;
-            else if (p1 >= 0 && row[p1])
-                choice = p1;
-            if (choice < 0) {
-                /* Deflect to the first free link (np.argmax). */
-                choice = 0;
-                for (int f = 0; f < p; f++)
-                    if (row[f]) { choice = f; break; }
-                ctr[CTR_DEFL] += 1;
+            const i64 s = base + col[i];
+            const i64 m = gmeta[s], dest = m & NODE_MASK;
+            if (dest == node && ejected < ew) {
+                account_ejection(&ej, m, cycle - gbirth[s]);
+                if (ejected == 0) {
+                    if (!emit_ejected(&ej, node, m))
+                        goto overflow;
+                } else {
+                    later[node * (ew - 1) + ejected - 1] = m;
+                    held++;
+                }
+                ejected++;
+                continue;
             }
-            row[choice] = 0;
-            out_meta[base + choice] = gmeta[base + c] + HOP_ONE;
-            out_birth[base + choice] = gbirth[base + c];
+            int port = productive_port(free, p0row[dest], p1row[dest]);
+            if (port < 0) {
+                port = first_free(free);
+                defl++;
+            }
+            free &= ~((uint64_t)1 << port);
+            ring_send(&ring, base + port, (m + HOP_ONE) | cbit, gbirth[s]);
+            sent++;
+        }
+
+        /* NI: one response or throttled request onto a free link, routed
+         * like any other flit (it lost arbitration to all of them). */
+        const struct queue *q = ni_admit(&ni, node, free != 0);
+        if (q) {
+            i64 stamp, m = queue_take(q, node, &stamp);
+            i64 dest = m & NODE_MASK;
+            int port = productive_port(free, p0row[dest], p1row[dest]);
+            if (port < 0)
+                port = first_free(free);
+            ring_send(&ring, base + port, (m + HOP_ONE) | cbit, cycle);
+            sent++;
+            injlat += cycle - stamp;
         }
     }
 
-    /* Injection: responses first, then throttled requests; capacity is
-     * "any free healthy output link". */
-    unsigned char *capacity = (unsigned char *)pt[PT_W_NODE];
-    for (i64 node = 0; node < n; node++) {
-        unsigned char any = 0;
-        for (int c = 0; c < p; c++)
-            if (avail[node * p + c]) { any = 1; break; }
-        capacity[node] = any;
+    /* Ejection rounds past the first, round-major and node-ascending;
+     * each slot is reset to the -1 "empty" mark as it is emitted. */
+    for (i64 r = 0; held && r < ew - 1; r++) {
+        for (i64 node = 0; node < n; node++) {
+            i64 *slot = later + node * (ew - 1) + r;
+            if (*slot < 0)
+                continue;
+            if (!emit_ejected(&ej, node, *slot))
+                goto overflow;
+            *slot = -1;
+            held--;
+        }
     }
-    injection_stage(pt, cfg, ctr, cycle, capacity, 0, avail);
 
-    /* Congestion bit (mark_congestion) + send into the ring. */
-    int mark = 0;
-    for (i64 node = 0; node < n; node++)
-        if (congested[node]) { mark = 1; break; }
-    i64 sent = 0;
-    for (i64 i = 0; i < np; i++) {
-        if (out_birth[i] < 0)
-            continue;
-        i64 m = out_meta[i];
-        if (mark && congested[i / p])
-            m |= CBIT;
-        i64 slot = (cur + lat_out[i] - 1) % depth;
-        ring_meta[slot * np + target[i]] = m;
-        ring_birth[slot * np + target[i]] = out_birth[i];
-        sent++;
-    }
+    ejector_end(&ej, ctr);
+    ni_end(&ni, ctr);
     ctr[CTR_HOPS] += sent;
+    ctr[CTR_DEFL] += defl;
+    ctr[CTR_INJLAT_SUM] += injlat;
+    ctr[CTR_INJLAT_CNT] += ni.injected;
     /* Bufferless: occupancy integral stays zero. */
+    return;
+overflow:
+    ctr[CTR_ERROR] = ERR_EJECT_OVERFLOW;
 }
 
 /* ------------------------------------------------------------------ */
 /* Buffered XY network step (CreditFlowControl.step)                   */
 /* ------------------------------------------------------------------ */
+/* The input FIFOs, one per (node, in port), p + 1 per node (the last
+ * is the NI's). */
+struct fifos {
+    i64 *meta, *birth;
+    int32_t *head, *count;
+    i64 cap;
+};
+
+static inline void fifo_push(const struct fifos *f, i64 bi, i64 meta,
+                             i64 birth)
+{
+    i64 slot = f->head[bi] + f->count[bi];
+    if (slot >= f->cap)
+        slot -= f->cap;
+    f->meta[bi * f->cap + slot] = meta;
+    f->birth[bi * f->cap + slot] = birth;
+    f->count[bi] += 1;
+}
+
+static inline i64 fifo_pop(const struct fifos *f, i64 bi, i64 *birth)
+{
+    i64 h = f->head[bi];
+    i64 meta = f->meta[bi * f->cap + h];
+    *birth = f->birth[bi * f->cap + h];
+    f->head[bi] = (int32_t)(h + 1 == f->cap ? 0 : h + 1);
+    f->count[bi] -= 1;
+    return meta;
+}
+
+/* Unlike bless_step this stays a sequence of whole-grid stages: an
+ * out port's credit checks read the downstream routers' buffers as of
+ * that out-port iteration, after the earlier iterations' grants. */
 static void credit_step(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
-    i64 pp = p + 1, np = n * p, bufcap = cfg[CFG_BUF_CAP];
-    i64 *ring_meta = (i64 *)pt[PT_RING_META];
-    i64 *ring_birth = (i64 *)pt[PT_RING_BIRTH];
-    i64 *buf_meta = (i64 *)pt[PT_BUF_META];
-    i64 *buf_birth = (i64 *)pt[PT_BUF_BIRTH];
-    int32_t *buf_head = (int32_t *)pt[PT_BUF_HEAD];
-    int32_t *buf_count = (int32_t *)pt[PT_BUF_COUNT];
-    int32_t *reserved = (int32_t *)pt[PT_RESERVED];
-    i64 *hkey = (i64 *)pt[PT_H_KEY];
-    i64 *hout = (i64 *)pt[PT_H_OUT];
-    i64 *w_node = (i64 *)pt[PT_W_NODE];
-    i64 *w_in = (i64 *)pt[PT_W_IN];
-    i64 *w_down = (i64 *)pt[PT_W_DOWN];
-    i64 *w_dport = (i64 *)pt[PT_W_DPORT];
-    unsigned char *grant = (unsigned char *)pt[PT_G_AVAIL];
-    i64 *hist = (i64 *)pt[PT_LAT_HIST];
-    const signed char *p0tab = (const signed char *)pt[PT_P0TAB];
-    const unsigned char *link_up = (const unsigned char *)pt[PT_LINK_UP];
-    const unsigned char *congested = (const unsigned char *)pt[PT_CONGESTED];
-    const i64 *lat_out = (const i64 *)pt[PT_LAT_OUT];
-    const i64 *neighbor = (const i64 *)pt[PT_NEIGHBOR];
-    const i64 *reverse = (const i64 *)pt[PT_REVERSE];
-    i64 arb = cfg[CFG_ARB];
-
-    ctr[CTR_CYCLES] += 1;
-    ctr[CTR_EJ_COUNT] = 0;
+    const i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
+    const i64 pp = p + 1, np = n * p, arb = cfg[CFG_ARB];
+    const struct fifos buf = {
+        pt[PT_BUF_META], pt[PT_BUF_BIRTH], pt[PT_BUF_HEAD],
+        pt[PT_BUF_COUNT], cfg[CFG_BUF_CAP],
+    };
+    i64 *restrict ring_meta = pt[PT_RING_META];
+    i64 *restrict ring_birth = pt[PT_RING_BIRTH];
+    int32_t *restrict reserved = pt[PT_RESERVED];
+    i64 *restrict hkey = pt[PT_KEY];
+    i64 *restrict hout = pt[PT_H_OUT];
+    i64 *restrict w_node = pt[PT_W_NODE];
+    i64 *restrict w_in = pt[PT_W_IN];
+    i64 *restrict w_down = pt[PT_W_DOWN];
+    i64 *restrict w_dport = pt[PT_W_DPORT];
+    unsigned char *restrict grant = pt[PT_W_GRANT];
+    const signed char *restrict p0tab = pt[PT_P0TAB];
+    const unsigned char *restrict link_up = pt[PT_LINK_UP];
+    const unsigned char *restrict congested = pt[PT_CONGESTED];
+    const i64 *restrict neighbor = pt[PT_NEIGHBOR];
+    const i64 *restrict reverse = pt[PT_REVERSE];
+    struct ejector ej = ejector_begin(pt, cfg, ctr);
+    struct ni ni = ni_begin(pt, cfg, ctr);
+    i64 writes = 0, reads = 0, hops = 0;
 
     /* Link arrivals drain into the input buffers (row-major, matching
      * np.nonzero order); each flat slot is a unique (node, port). */
     i64 cur = ctr[CTR_CURSOR];
-    for (i64 i = 0; i < np; i++) {
-        i64 b = ring_birth[cur * np + i];
-        if (b < 0)
-            continue;
-        i64 node = i / p, port = i % p;
-        i64 bi = node * pp + port;
-        i64 slot = (buf_head[bi] + buf_count[bi]) % bufcap;
-        buf_meta[bi * bufcap + slot] = ring_meta[cur * np + i];
-        buf_birth[bi * bufcap + slot] = b;
-        buf_count[bi] += 1;
-        reserved[i] -= 1;
-        ctr[CTR_BWRITES] += 1;
-        ring_birth[cur * np + i] = -1;
+    i64 *arr_meta = ring_meta + cur * np, *arr_birth = ring_birth + cur * np;
+    for (i64 node = 0, i = 0; node < n; node++) {
+        for (i64 port = 0; port < p; port++, i++) {
+            if (arr_birth[i] < 0)
+                continue;
+            fifo_push(&buf, node * pp + port, arr_meta[i], arr_birth[i]);
+            reserved[i] -= 1;
+            writes++;
+            arr_birth[i] = -1;
+        }
     }
-    cur = (cur + 1) % depth;
+    if (++cur == depth)
+        cur = 0;
     ctr[CTR_CURSOR] = cur;
+    const struct ring ring = {
+        ring_meta, ring_birth, pt[PT_LAT_OUT], pt[PT_TARGET_FLAT],
+        np, depth, cur,
+    };
 
     /* Head-of-queue snapshot: key + output port per (node, in port),
      * computed once — pops during the out-port loop do NOT refresh it
      * (heads_into semantics).  hout -2 marks empty FIFOs. */
-    int mark = 0;
-    for (i64 node = 0; node < n; node++)
-        if (congested[node]) { mark = 1; break; }
     for (i64 node = 0; node < n; node++) {
         for (i64 port = 0; port < pp; port++) {
             i64 bi = node * pp + port;
-            if (buf_count[bi] <= 0) {
+            if (buf.count[bi] <= 0) {
                 hkey[bi] = KEY_MAX;
                 hout[bi] = -2;
                 continue;
             }
-            i64 m = buf_meta[bi * bufcap + buf_head[bi]];
-            i64 b = buf_birth[bi * bufcap + buf_head[bi]];
+            i64 at = bi * buf.cap + buf.head[bi];
+            i64 m = buf.meta[at];
             if (arb != ARB_RANDOM) {
-                i64 k = (b << SRC_SHIFT) | ((m >> SRC_SHIFT) & NODE_MASK);
+                i64 k = (buf.birth[at] << SRC_SHIFT)
+                        | ((m >> SRC_SHIFT) & NODE_MASK);
                 hkey[bi] = arb == ARB_YOUNGEST ? -k : k;
             }
-            i64 dest = m & NODE_MASK;
-            int p0 = p0tab[node * n + dest];
+            int p0 = p0tab[node * n + (m & NODE_MASK)];
             hout[bi] = p0 < 0 ? p : p0;
         }
     }
@@ -589,15 +697,13 @@ static void credit_step(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
                 continue;
             if (op == p) {
                 /* Local delivery: pop immediately, node-ascending. */
-                i64 bi = node * pp + bc;
-                i64 m = buf_meta[bi * bufcap + buf_head[bi]];
-                i64 b = buf_birth[bi * bufcap + buf_head[bi]];
-                buf_head[bi] = (int32_t)((buf_head[bi] + 1) % bufcap);
-                buf_count[bi] -= 1;
-                ctr[CTR_BREADS] += 1;
-                if (!emit_ejected(pt, cfg, ctr, node, m))
+                i64 b, m = fifo_pop(&buf, node * pp + bc, &b);
+                reads++;
+                account_ejection(&ej, m, cycle - b);
+                if (!emit_ejected(&ej, node, m)) {
+                    ctr[CTR_ERROR] = ERR_EJECT_OVERFLOW;
                     return;
-                account_ejection(ctr, hist, m, cycle - b);
+                }
             } else {
                 w_node[nw] = node;
                 w_in[nw] = bc;
@@ -615,44 +721,47 @@ static void credit_step(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
             i64 dport = reverse[node * p + op];
             w_down[k] = down;
             w_dport[k] = dport;
-            grant[k] = (buf_count[down * pp + dport]
-                        + reserved[down * p + dport] < bufcap)
+            grant[k] = (buf.count[down * pp + dport]
+                        + reserved[down * p + dport] < buf.cap)
                        && link_up[node * p + op];
         }
         for (i64 k = 0; k < nw; k++) {
             if (!grant[k])
                 continue;
             i64 node = w_node[k];
-            i64 bi = node * pp + w_in[k];
-            i64 m = buf_meta[bi * bufcap + buf_head[bi]];
-            i64 b = buf_birth[bi * bufcap + buf_head[bi]];
-            buf_head[bi] = (int32_t)((buf_head[bi] + 1) % bufcap);
-            buf_count[bi] -= 1;
-            ctr[CTR_BREADS] += 1;
+            i64 b, m = fifo_pop(&buf, node * pp + w_in[k], &b);
+            reads++;
             m += HOP_ONE;
-            if (mark && congested[node])
+            if (congested[node])
                 m |= CBIT;
-            i64 slot = (cur + lat_out[node * p + op] - 1) % depth;
-            i64 idx = w_down[k] * p + w_dport[k];
-            ring_meta[slot * np + idx] = m;
-            ring_birth[slot * np + idx] = b;
+            /* target[node * p + op] is (w_down, w_dport) flattened. */
+            ring_send(&ring, node * p + op, m, b);
             reserved[w_down[k] * p + w_dport[k]] += 1;
-            ctr[CTR_HOPS] += 1;
+            hops++;
         }
     }
 
-    /* Injection through the NI input buffer.  The winner scratch is
-     * free again once the out-port loop is done. */
-    unsigned char *capacity = (unsigned char *)pt[PT_W_NODE];
-    for (i64 node = 0; node < n; node++)
-        capacity[node] = buf_count[node * pp + p] < bufcap;
-    injection_stage(pt, cfg, ctr, cycle, capacity, 1, (unsigned char *)0);
+    /* Injection through the NI input buffer. */
+    for (i64 node = 0; node < n; node++) {
+        i64 bi = node * pp + p;
+        const struct queue *q = ni_admit(&ni, node, buf.count[bi] < buf.cap);
+        if (!q)
+            continue;
+        i64 stamp, m = queue_take(q, node, &stamp);
+        fifo_push(&buf, bi, m, cycle);
+        writes++;
+    }
 
     /* Occupancy integral: flits held in buffers after this cycle. */
     i64 occ = 0;
     for (i64 bi = 0; bi < n * pp; bi++)
-        occ += buf_count[bi];
+        occ += buf.count[bi];
     ctr[CTR_OCC] += occ;
+    ejector_end(&ej, ctr);
+    ni_end(&ni, ctr);
+    ctr[CTR_BWRITES] += writes;
+    ctr[CTR_BREADS] += reads;
+    ctr[CTR_HOPS] += hops;
 }
 
 /* ------------------------------------------------------------------ */
@@ -719,8 +828,10 @@ static void sample_destinations(void **pt, const i64 *cfg, i64 k)
         /* UniformStriping: integers(1, n, size=k) */
         random_bounded_uint64_fill(rng, 1, (uint64_t)(n - 2), k, false,
                                    (uint64_t *)d);
-        for (i64 i = 0; i < k; i++)
-            dest[i] = (src[i] + d[i]) % n;
+        for (i64 i = 0; i < k; i++) {
+            i64 t = src[i] + d[i];  /* d in [1, n - 1] */
+            dest[i] = t >= n ? t - n : t;
+        }
         return;
     }
 
@@ -798,17 +909,10 @@ static void sample_destinations(void **pt, const i64 *cfg, i64 k)
  * "destinations" stream. */
 static void issue_misses(void **pt, const i64 *cfg, i64 cycle, i64 k)
 {
-    i64 qcap = cfg[CFG_QCAP];
+    const struct queue req = queue_view(pt, PT_REQ_DEST, cfg[CFG_QCAP]);
     i64 req_flits = cfg[CFG_REQ_FLITS];
     i64 *nodes = (i64 *)pt[PT_MISS_OUT];
     const i64 *dest = (const i64 *)pt[PT_ISSUE_DEST];
-    int32_t *req_dest = (int32_t *)pt[PT_REQ_DEST];
-    int8_t *req_kind = (int8_t *)pt[PT_REQ_KIND];
-    int16_t *req_flit = (int16_t *)pt[PT_REQ_FLITS];
-    i64 *req_stamp = (i64 *)pt[PT_REQ_STAMP];
-    int16_t *req_seq = (int16_t *)pt[PT_REQ_SEQ];
-    int32_t *req_head = (int32_t *)pt[PT_REQ_HEAD];
-    int32_t *req_count = (int32_t *)pt[PT_REQ_COUNT];
     double *issue_pos = (double *)pt[PT_CO_ISSUE_POS];
     int16_t *recv = (int16_t *)pt[PT_CO_RECV];
     unsigned char *complete = (unsigned char *)pt[PT_CO_COMPLETE];
@@ -821,17 +925,10 @@ static void issue_misses(void **pt, const i64 *cfg, i64 cycle, i64 k)
     i64 m = 0;
     for (i64 i = 0; i < k; i++) {
         i64 node = nodes[i];
-        if (req_count[node] >= qcap)
+        if (req.count[node] >= req.cap)
             continue;  /* rejected: gap stays 0, backpressure stalls */
         i64 seq = issued[node] % SEQ_RING;
-        i64 slot = (req_head[node] + req_count[node]) % qcap;
-        i64 idx = node * qcap + slot;
-        req_dest[idx] = (int32_t)dest[i];
-        req_kind[idx] = KIND_REQUEST;
-        req_flit[idx] = (int16_t)req_flits;
-        req_stamp[idx] = cycle;
-        req_seq[idx] = (int16_t)seq;
-        req_count[node] += 1;
+        queue_push(&req, node, dest[i], KIND_REQUEST, req_flits, cycle, seq);
         i64 ring = node * SEQ_RING + seq;
         issue_pos[ring] = retired[node];
         recv[ring] = 0;
@@ -932,7 +1029,7 @@ static void cores_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 static void memory_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
     i64 L = cfg[CFG_L2_LAT], cap = cfg[CFG_EJ_CAP], pcap = cfg[CFG_PEND_CAP];
-    i64 qcap = cfg[CFG_QCAP];
+    const struct queue resp = queue_view(pt, PT_RESP_DEST, cfg[CFG_QCAP]);
     i64 *mem_srv = (i64 *)pt[PT_MEM_SRV];
     i64 *mem_req = (i64 *)pt[PT_MEM_REQ];
     i64 *mem_seq = (i64 *)pt[PT_MEM_SEQ];
@@ -944,20 +1041,13 @@ static void memory_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     i64 *scr_r = (i64 *)pt[PT_SCR_R];
     i64 *scr_q = (i64 *)pt[PT_SCR_Q];
     unsigned char *seen = (unsigned char *)pt[PT_VISITED];
-    int32_t *resp_dest = (int32_t *)pt[PT_RESP_DEST];
-    int8_t *resp_kind = (int8_t *)pt[PT_RESP_KIND];
-    int16_t *resp_flits = (int16_t *)pt[PT_RESP_FLITS];
-    i64 *resp_stamp = (i64 *)pt[PT_RESP_STAMP];
-    int16_t *resp_seq = (int16_t *)pt[PT_RESP_SEQ];
-    int32_t *resp_head = (int32_t *)pt[PT_RESP_HEAD];
-    int32_t *resp_count = (int32_t *)pt[PT_RESP_COUNT];
 
     i64 mcur = ctr[CTR_MEM_CURSOR];
     i64 due_cnt = mem_cnt[mcur];
     i64 due_base = mcur * cap;
     i64 pend = ctr[CTR_PEND_CNT];
     mem_cnt[mcur] = 0;
-    ctr[CTR_MEM_CURSOR] = (mcur + 1) % L;
+    ctr[CTR_MEM_CURSOR] = mcur + 1 == L ? 0 : mcur + 1;
     if (due_cnt == 0 && pend == 0)
         return;
     i64 total = pend + due_cnt;
@@ -977,15 +1067,9 @@ static void memory_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
         }
         if (!seen[s]) {
             seen[s] = 1;
-            if (resp_count[s] < qcap) {
-                i64 slot = (resp_head[s] + resp_count[s]) % qcap;
-                i64 idx = s * qcap + slot;
-                resp_dest[idx] = (int32_t)r;
-                resp_kind[idx] = KIND_REPLY;
-                resp_flits[idx] = (int16_t)cfg[CFG_REPLY_FLITS];
-                resp_stamp[idx] = cycle;
-                resp_seq[idx] = (int16_t)q;
-                resp_count[s] += 1;
+            if (resp.count[s] < resp.cap) {
+                queue_push(&resp, s, r, KIND_REPLY, cfg[CFG_REPLY_FLITS],
+                           cycle, q);
                 ctr[CTR_REP_ISSUED] += 1;
             } else {
                 scr_s[nf] = s; scr_r[nf] = r; scr_q[nf] = q;
@@ -1029,7 +1113,9 @@ static void eject_phase(void **pt, const i64 *cfg, i64 *ctr)
     /* Request flits enter L2 service (MemorySystem.on_requests): the
      * whole cycle's batch lands l2_latency - 1 slots ahead. */
     i64 L = cfg[CFG_L2_LAT];
-    i64 slot = (ctr[CTR_MEM_CURSOR] + L - 1) % L;
+    i64 slot = ctr[CTR_MEM_CURSOR] + L - 1;
+    if (slot >= L)
+        slot -= L;
     i64 *mem_cnt = (i64 *)pt[PT_MEM_CNT];
     i64 cnt = mem_cnt[slot];
     i64 base = slot * cfg[CFG_EJ_CAP];
@@ -1091,13 +1177,13 @@ static void network_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     int buffered = cfg[CFG_BUFFERED] != 0;
     if (cfg[CFG_ARB] == ARB_RANDOM) {
         /* RandomArbitration: integers(0, KEY_MAX, size=grid) from the
-         * "arbitration" stream, one fresh grid per cycle. */
+         * "arbitration" stream, one fresh (n, p [+ 1]) grid per cycle. */
         i64 n = cfg[CFG_N], cols = cfg[CFG_P] + buffered;
         random_bounded_uint64_fill((bitgen_t *)pt[PT_RNG_ARB], 0,
                                    (uint64_t)(KEY_MAX - 1), n * cols, false,
-                                   (uint64_t *)pt[buffered ? PT_H_KEY
-                                                           : PT_G_KEY]);
+                                   (uint64_t *)pt[PT_KEY]);
     }
+    ctr[CTR_CYCLES] += 1;
     if (buffered)
         credit_step(pt, cfg, ctr, cycle);
     else

@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.control.base import Controller
+from repro.guardrails.errors import InvariantViolation
 from repro.guardrails.faults import FaultConfig
 from repro.native import (
     NativeAbiError,
@@ -83,6 +85,20 @@ EQUIVALENCE_CASES = {
     "bless-youngest": dict(network="bless", arbitration="youngest_first"),
     "bless-random": dict(network="bless", arbitration="random"),
     "bless-eject-width-2": dict(network="bless", eject_width=2),
+    # ejection rounds past a router's first are held back and emitted
+    # round-major after the router pass
+    "bless-eject-width-3-youngest": dict(
+        network="bless", eject_width=3, arbitration="youngest_first"
+    ),
+    "bless-eject-width-3-random": dict(
+        network="bless", eject_width=3, arbitration="random"
+    ),
+    "bless-eject-width-4-youngest": dict(
+        network="bless", eject_width=4, arbitration="youngest_first"
+    ),
+    "bless-eject-width-4-random": dict(
+        network="bless", eject_width=4, arbitration="random"
+    ),
     "bless-torus": dict(network="bless", topology="torus"),
     "bless-distributed": dict(network="bless", controller="distributed"),
     "buffered-oldest": dict(network="buffered"),
@@ -103,6 +119,15 @@ EQUIVALENCE_CASES = {
     "bless-chiplet-exponential": dict(
         network="bless", topology="chiplet", nodes=64, cycles=400,
         locality="exponential",
+    ),
+    # multi-cycle links wrap the ring's send slot; chiplet routers have
+    # eight ports
+    "bless-express": dict(
+        network="bless", topology="express", nodes=64, cycles=400
+    ),
+    "bless-chiplet-eject-width-2": dict(
+        network="bless", topology="chiplet", nodes=64, cycles=400,
+        eject_width=2,
     ),
     "bless-no-phases": dict(network="bless", phase_sigma=0.0),
     "bless-hierarchical-control": dict(
@@ -128,6 +153,42 @@ def test_native_matches_numpy(case):
     native = _run(backend="native", **kwargs)
     kwargs.pop("splits", None)
     assert _canon(_run(backend="numpy", **kwargs)) == _canon(native)
+
+
+class _EjectionLog(Controller):
+    """No throttling; records every cycle's ejected batch, in order."""
+
+    observes_ejections = True
+
+    def __init__(self):
+        self.batches = []
+
+    def on_ejected(self, ejected) -> None:
+        self.batches.append(
+            np.stack([ejected.node, ejected.src, ejected.kind, ejected.seq])
+        )
+
+
+@needs_native
+@pytest.mark.slow
+@pytest.mark.parametrize("eject_width", [1, 4])
+def test_native_ejection_batches_match_numpy(eject_width):
+    """Each cycle's delivered flits come out in the reference's order:
+    round-major, node-ascending within a round (result fields cannot
+    see this order, an observing controller can)."""
+    def batches(backend):
+        workload = make_category_workload("H", 16, np.random.default_rng(5))
+        sim = Simulator(SimulationConfig(
+            workload, seed=5, epoch=200, backend=backend,
+            eject_width=eject_width,
+        ))
+        sim.controller = _EjectionLog()
+        sim.run(600)
+        return np.concatenate(sim.controller.batches, axis=1)
+
+    reference = batches("numpy")
+    assert reference.shape[1] > 0
+    np.testing.assert_array_equal(batches("native"), reference)
 
 
 @needs_native
@@ -236,6 +297,26 @@ def test_native_profile_reports_every_phase():
     assert phases["network"] > 0
     profiled["perf"] = None
     assert _canon(plain) == _canon(profiled)
+
+
+@needs_native
+def test_native_flush_checks_flit_conservation():
+    """A flit lost from the kernels' link ring between two runs fails
+    the next epoch flush with the reference checker's violation."""
+    sim = _native_simulator()
+    sim.run(300)
+    birth = sim.network._ring_birth.reshape(-1)
+    occupied = np.flatnonzero(birth >= 0)
+    assert occupied.size
+    birth[occupied[0]] = -1
+    with pytest.raises(InvariantViolation) as info:
+        sim.run(200)
+    assert info.value.invariant == "conservation"
+    assert info.value.cycle == 400
+    assert info.value.snapshot["in_flight"] + 1 == (
+        info.value.snapshot["injected_flits"]
+        - info.value.snapshot["ejected_flits"]
+    )
 
 
 @needs_native
